@@ -128,7 +128,7 @@ if command -v python3 >/dev/null 2>&1; then
 import json, os
 reqs = []
 scns = sorted(f for f in os.listdir("data") if f.endswith(".scn"))
-# 8 file-backed verifies (one per shipped scenario)...
+# One file-backed verify per shipped scenario...
 for i, name in enumerate(scns):
     reqs.append({"op": "verify", "id": f"v{i}",
                  "scenario_file": os.path.join("data", name)})
@@ -140,7 +140,7 @@ reqs.append({"op": "sweep", "id": "s1",
              "scenario_file": "data/ieee14_objective2.scn",
              "axis": "secure-measurement", "values": [46, 1, 32, 12]})
 # ...a repeat (must hit the result memo), an inline scenario, one
-# in-band parse error, and a stats probe: 20 response lines total.
+# in-band parse error, and a stats probe: len(scns) + 12 response lines.
 reqs.append({"op": "verify", "id": "rep",
              "scenario_file": "data/ieee14_objective2.scn"})
 reqs.append({"op": "verify", "id": "inl",
@@ -150,9 +150,11 @@ reqs.append({"op": "verify", "id": "bad", "scenario": "caze nope\n"})
 reqs.append({"op": "stats"})
 print("\n".join(json.dumps(r) for r in reqs))
 ' | "${server}" --threads "${jobs}" | python3 -c '
-import json, sys
+import json, os, sys
+scns = [f for f in os.listdir("data") if f.endswith(".scn")]
 lines = [json.loads(l) for l in sys.stdin]   # every line must parse
-assert len(lines) == 20, f"expected 20 response lines, got {len(lines)}"
+want = len(scns) + 12
+assert len(lines) == want, f"expected {want} response lines, got {len(lines)}"
 for l in lines:
     json.dumps(l)  # and re-serialise
     assert ("verdict" in l) or (l.get("ok") is False) or ("requests" in l), l
@@ -165,10 +167,10 @@ sweep0 = {l["sweep_index"]: l["verdict"]
 assert sweep0 == {0: "unsat", 1: "unsat", 2: "sat", 3: "sat"}, sweep0
 rep = [l for l in lines if l.get("id") == "rep"]
 assert len(rep) == 1 and rep[0]["memo_hit"], rep
-# 9 verifies + inline + 2x4 sweep points reached the service; the parse
-# error did not.
+# The file verifies, the repeat, the inline one and 2x4 sweep points
+# reached the service; the parse error did not.
 stats = lines[-1]
-assert stats["requests"] == 18 and stats["errors"] == 0, stats
+assert stats["requests"] == len(scns) + 10 and stats["errors"] == 0, stats
 p99, hits = stats["solve_p99_us"], stats["session_hits"]
 print(f"ci: analytics_server {len(lines)} response lines OK "
       f"(p99 solve {p99} us, session hits {hits})")

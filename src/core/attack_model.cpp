@@ -31,8 +31,8 @@ UfdiAttackModel::UfdiAttackModel(const grid::Grid& grid,
     : grid_(grid),
       plan_(plan),
       // A base-mode model ignores the delta axes by construction, so strip
-      // them up front: clone() then reproduces the same base encoding and
-      // the session-cache key need not normalise the spec itself.
+      // them up front: spec() then names exactly what is encoded and the
+      // session-cache key need not normalise the spec itself.
       spec_(mode == EncodeMode::kBase ? strip_delta(spec) : std::move(spec)),
       mode_(mode) {
   PSSE_CHECK(plan_.num_lines() == grid_.num_lines() &&
@@ -52,6 +52,13 @@ UfdiAttackModel::UfdiAttackModel(const grid::Grid& grid,
                "UfdiAttackModel: the reference state cannot be attacked");
   }
   encode();
+}
+
+std::unique_ptr<UfdiAttackModel> UfdiAttackModel::clone() const {
+  std::unique_ptr<UfdiAttackModel> copy(new UfdiAttackModel(*this));
+  copy->set_trace({});
+  copy->solver_.reset_phase_times();
+  return copy;
 }
 
 void UfdiAttackModel::encode() {

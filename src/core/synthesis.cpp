@@ -304,7 +304,8 @@ SynthesisResult SecurityArchitectureSynthesizer::synthesize_parallel() {
   bool done = try_seeds(candidates, sb, elapsed, out);
 
   // One attack-model clone per evaluation slot, built up front and reused
-  // every round — re-encoding per candidate would dominate the loop.
+  // every round. A clone is a copy of the model's current state, so the
+  // workers start with whatever the seeds (or earlier calls) learnt.
   std::vector<std::unique_ptr<UfdiAttackModel>> workers;
   if (!done) {
     workers.reserve(slots);
@@ -315,9 +316,8 @@ SynthesisResult SecurityArchitectureSynthesizer::synthesize_parallel() {
         // one candidate prune every sibling's search on later rounds (the
         // shared base formula is what they constrain; candidates are pure
         // assumptions).
-        smt::SatOptions o;
-        o.exchange = options_.share_clauses->make_endpoint();
-        workers.back()->set_solver_options(o);
+        workers.back()->set_clause_exchange(
+            options_.share_clauses->make_endpoint());
       }
     }
   }

@@ -209,7 +209,11 @@ Vector Matrix::cholesky_solve(const Vector& b) const {
   return x;
 }
 
-std::size_t Matrix::rank(double tol) const {
+// Observability checks spend most of their time here, and the elimination
+// loops run up to a quarter slower when the linker happens to place them
+// off a cache-line boundary; pinning the alignment keeps their speed from
+// depending on the size of unrelated code.
+__attribute__((aligned(64))) std::size_t Matrix::rank(double tol) const {
   std::vector<double> a = data_;
   const std::size_t m = rows_, n = cols_;
   double scale = max_abs();

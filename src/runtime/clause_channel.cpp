@@ -33,8 +33,9 @@ void ClauseChannel::publish(std::uint32_t producer,
   published_.store(seq + 1, std::memory_order_release);
 }
 
-void ClauseChannel::drain(std::uint64_t cursor, std::uint32_t consumer,
-                          std::vector<std::vector<smt::Lit>>& out) {
+std::uint64_t ClauseChannel::drain(std::uint64_t cursor,
+                                   std::uint32_t consumer,
+                                   std::vector<std::vector<smt::Lit>>& out) {
   out.clear();
   std::lock_guard<std::mutex> lock(mu_);
   // Ring is seq-ordered; skip the prefix the consumer has already seen.
@@ -42,6 +43,8 @@ void ClauseChannel::drain(std::uint64_t cursor, std::uint32_t consumer,
     if (e.seq < cursor || e.producer == consumer) continue;
     out.push_back(e.lits);
   }
+  // Read under the lock: exactly the entries visited above lie below it.
+  return published_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t ClauseChannel::dropped() const {

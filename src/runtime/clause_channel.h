@@ -61,8 +61,10 @@ class ClauseChannel final : public smt::ClauseExchangeHub {
 
   void publish(std::uint32_t producer, const std::vector<smt::Lit>& lits,
                std::uint32_t lbd);
-  void drain(std::uint64_t cursor, std::uint32_t consumer,
-             std::vector<std::vector<smt::Lit>>& out);
+  /// Copies the sibling entries from `cursor` on into `out` and returns
+  /// the cursor after them.
+  std::uint64_t drain(std::uint64_t cursor, std::uint32_t consumer,
+                      std::vector<std::vector<smt::Lit>>& out);
 
   const std::size_t capacity_;
   mutable std::mutex mu_;
@@ -91,8 +93,10 @@ class ClauseChannel::Endpoint final : public smt::ClauseExchange {
   }
 
   void import_clauses(std::vector<std::vector<smt::Lit>>& out) override {
-    channel_->drain(cursor_, id_, out);
-    cursor_ = channel_->published();
+    // The new cursor comes from the drain itself: a sibling may publish
+    // between the drain and any later read of published(), and those
+    // clauses must stay pending.
+    cursor_ = channel_->drain(cursor_, id_, out);
     own_since_cursor_ = 0;
   }
 

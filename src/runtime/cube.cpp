@@ -10,29 +10,36 @@ using smt::TermRef;
 
 CubeSet split_cubes(const core::UfdiAttackModel& model,
                     const CubeOptions& options) {
+  return split_cubes(model.clone(), options, smt::Budget{});
+}
+
+CubeSet split_cubes(std::unique_ptr<core::UfdiAttackModel> model,
+                    const CubeOptions& options, const smt::Budget& budget) {
   CubeSet out;
-  // Probing perturbs saved phases and burns propagations, so it runs on a
-  // throwaway clone; the conquer clones start pristine.
-  std::unique_ptr<core::UfdiAttackModel> prober = model.clone();
-  std::vector<TermRef> candidates = prober->cube_candidate_terms();
+  out.prober = std::move(model);
+  core::UfdiAttackModel& prober = *out.prober;
+  std::vector<TermRef> candidates = prober.cube_candidate_terms();
 
   if (options.burnin_conflicts > 0) {
     // Burn-in: a conflict-bounded solve concentrates branching activity on
     // the contested variables. If it finishes inside the budget the whole
     // split is moot — the instance was easy.
-    smt::Budget burnin;
+    smt::Budget burnin = budget;
     burnin.max_conflicts = options.burnin_conflicts;
+    const smt::Interrupt abort = smt::Interrupt::from(burnin);
     const core::VerificationResult warm =
-        prober->verify_with_assumptions({}, burnin);
+        prober.verify_with_assumptions({}, burnin);
+    out.burnin = warm.stats;
     if (warm.result == smt::SolveResult::Unsat) {
       out.refuted = true;
       return out;
     }
     if (warm.result == smt::SolveResult::Sat) return out;  // race re-finds
+    if (abort.triggered()) return out;  // the caller's time is up
     std::vector<std::pair<double, TermRef>> ranked;
     ranked.reserve(candidates.size());
     for (TermRef t : candidates) {
-      ranked.emplace_back(prober->term_activity(t), t);
+      ranked.emplace_back(prober.term_activity(t), t);
     }
     std::stable_sort(ranked.begin(), ranked.end(),
                      [](const auto& a, const auto& b) {
@@ -51,8 +58,8 @@ CubeSet split_cubes(const core::UfdiAttackModel& model,
   scored.reserve(candidates.size());
   for (TermRef t : candidates) {
     if (out.probes >= options.max_probes) break;
-    const int pos = prober->probe_term(t);
-    const int neg = prober->probe_term(~t);
+    const int pos = prober.probe_term(t);
+    const int neg = prober.probe_term(~t);
     out.probes += 2;
     if (pos < 0 && neg < 0) {
       // Both phases conflict at level 0: the instance is UNSAT already.

@@ -8,11 +8,13 @@
 // literals (UfdiAttackModel::cube_candidate_terms) — because their
 // polarity cascades through the residence closure: fixing one decides a
 // whole substation's worth of cz freedom. A bounded burn-in solve on a
-// private clone first concentrates branching activity on the variables
-// the search actually fights over; candidates are ranked by that activity
-// (grids have hundreds of cb_j, and splitting on an arbitrary
-// construction-order prefix produces cubes as hard as the original), then
-// the top candidates are scored by bounded BCP lookahead
+// prober (a clone of the caller's model) first concentrates branching
+// activity on the variables the search actually fights over, and leaves
+// the prober warm: the conquer workers start as copies of it, with its
+// learnt clauses, activities and saved phases. Candidates are ranked by
+// that activity (grids have hundreds of cb_j, and splitting on an
+// arbitrary construction-order prefix produces cubes as hard as the
+// original), then the top candidates are scored by bounded BCP lookahead
 // (SatSolver::probe_literal): a probe that conflicts proves the opposite
 // literal is level-0 implied (it joins every cube as a forced unit); a
 // candidate that conflicts in *both* phases refutes the whole instance
@@ -27,9 +29,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/attack_model.h"
+#include "smt/budget.h"
 
 namespace psse::runtime {
 
@@ -65,14 +69,28 @@ struct CubeSet {
   bool refuted = false;
   /// BCP probes spent (two per fully-probed candidate).
   std::uint64_t probes = 0;
+  /// Effort of the burn-in solve (zero when it was skipped). Its work is
+  /// part of the refutation: the conquer workers inherit what it learnt.
+  smt::SolverStats burnin;
+  /// The model the burn-in and the probes ran on, left warm. Conquer
+  /// workers clone it (it must not be solved while they do).
+  std::unique_ptr<core::UfdiAttackModel> prober;
 };
 
 /// Splits `model`'s instance on its topology-poisoning terms by bounded
-/// lookahead. Probes run on a private clone, so `model` itself is never
-/// mutated and stays safe for concurrent conquer cloning. TermRefs are
-/// stable across clones (clones re-encode the same scenario identically),
-/// so the returned cubes are valid assumption lists for any clone.
+/// lookahead. The burn-in and the probes run on a clone (returned as
+/// CubeSet::prober), so `model` itself is only read. TermRefs are stable
+/// across clones (a clone is a copy), so the returned cubes are valid
+/// assumption lists for any clone of `model` or of the prober.
 [[nodiscard]] CubeSet split_cubes(const core::UfdiAttackModel& model,
                                   const CubeOptions& options = {});
+
+/// Splits on `model` itself — configure its engine before the call — and
+/// returns it, warm, as CubeSet::prober. The burn-in runs under `budget`'s
+/// deadline and stop token (its conflict limit is options.burnin_conflicts);
+/// if either fires during the burn-in, the split returns no cubes.
+[[nodiscard]] CubeSet split_cubes(
+    std::unique_ptr<core::UfdiAttackModel> model, const CubeOptions& options,
+    const smt::Budget& budget);
 
 }  // namespace psse::runtime

@@ -20,8 +20,7 @@ std::vector<PortfolioMember> engine_presets() {
   std::vector<PortfolioMember> presets;
   presets.reserve(8);
   // Preset 0 must stay the default engine: tools resolve --engine baseline
-  // to the serial search, and the conquer scheduler's worker 0 anchors on
-  // it.
+  // to the serial search.
   presets.push_back({"baseline", {}});
   {
     SatOptions o;
@@ -127,6 +126,43 @@ std::vector<PortfolioMember> default_portfolio(std::size_t n) {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+// The caller's max_time as one absolute deadline for a whole portfolio
+// call, fixed on entry: every solve the call starts (burn-in, racing
+// member, cube, race fallback) gets only the time that is left, so the
+// call as a whole stays inside the caller's limit.
+class Deadline {
+ public:
+  explicit Deadline(const smt::Budget& budget)
+      : limited_(budget.max_time.count() > 0),
+        at_(Clock::now() + budget.max_time) {}
+
+  // Cuts `budget`'s max_time to the time left, rounded up to whole
+  // milliseconds (a zero max_time would mean "unlimited"). Returns false,
+  // leaving `budget` as it was, once the deadline has passed.
+  [[nodiscard]] bool clip(smt::Budget& budget) const {
+    if (!limited_) return true;
+    const Clock::duration left = at_ - Clock::now();
+    if (left <= Clock::duration::zero()) return false;
+    budget.max_time = std::chrono::ceil<std::chrono::milliseconds>(left);
+    return true;
+  }
+
+  [[nodiscard]] bool passed() const {
+    return limited_ && Clock::now() >= at_;
+  }
+
+ private:
+  bool limited_;
+  Clock::time_point at_;
+};
+
+bool stop_requested(const smt::Budget& budget) {
+  return budget.stop != nullptr &&
+         budget.stop->load(std::memory_order_relaxed);
+}
+
 void emit_member_event(const obs::Config& trace, std::uint64_t index,
                        const PortfolioMemberOutcome& outcome,
                        const core::VerificationResult& v) {
@@ -209,7 +245,8 @@ void accumulate_stats(smt::SolverStats& acc, const smt::SolverStats& d) {
 }
 
 PortfolioResult race_portfolio(const core::UfdiAttackModel& model,
-                               const PortfolioOptions& options) {
+                               const PortfolioOptions& options,
+                               const Deadline& deadline) {
   const auto start = std::chrono::steady_clock::now();
   std::vector<PortfolioMember> members =
       options.members.empty() ? default_portfolio(options.num_threads)
@@ -233,8 +270,9 @@ PortfolioResult race_portfolio(const core::UfdiAttackModel& model,
 
   // First-winner cancellation (racing mode only). A caller-supplied stop
   // token is layered on top by the wait loop below, which forwards it into
-  // this internal flag so members need to poll only one.
-  std::atomic<bool> raceStop{false};
+  // this internal flag so members need to poll only one; a token already
+  // set on entry cancels every member before it starts.
+  std::atomic<bool> raceStop{stop_requested(options.budget)};
   std::mutex mu;
   std::vector<core::VerificationResult> results(n);
   int firstDefinitive = -1;  // completion order, guarded by mu
@@ -244,13 +282,14 @@ PortfolioResult race_portfolio(const core::UfdiAttackModel& model,
   futures.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     futures.push_back(pool.submit([&, i] {
-      // Clone inside the worker: model encoding is itself a significant
-      // cost on big grids, so members pay it concurrently.
+      // Clone inside the worker, so members pay for their copies
+      // concurrently.
       auto clone = model.clone();
       clone->set_solver_options(members[i].options);
       smt::Budget budget = options.budget;
       budget.stop = &raceStop;
-      core::VerificationResult v = clone->verify(budget);
+      core::VerificationResult v;
+      if (deadline.clip(budget)) v = clone->verify(budget);
       // Whether the abort flag was up when this member finished decides
       // "cancelled" vs "own budget exhausted" for an Unknown verdict.
       const bool raceDecided = raceStop.load(std::memory_order_relaxed);
@@ -317,11 +356,21 @@ PortfolioResult race_portfolio(const core::UfdiAttackModel& model,
 // Cube-and-conquer: split the instance into sign-combination cubes on
 // topology-poisoning literals, then fan cubes across the pool.
 //
-// Scheduling: min(num_threads, cubes) workers, each cloning the model
-// ONCE and pulling cube indices from a shared counter — more cubes than
-// workers keeps everyone busy while a clone's learnt database stays warm
-// across the cubes it conquers. Worker w runs engine members[w % |members|]
-// for structural diversity across the tree.
+// Warm fork: the split's burn-in solve runs on a prober — a clone of the
+// caller's model, configured with members[0] when the caller names
+// members — and every conquer worker starts as a copy of that prober, with
+// the burn-in's learnt clauses, activities and saved phases. Workers keep
+// the prober's engine: switching engines (set_solver_options) resets the
+// saved phases the fork carries.
+//
+// Scheduling: min(num_threads, cubes, hardware threads) workers, each
+// cloning the prober ONCE and pulling cube indices from a shared counter —
+// more cubes than workers keeps everyone busy while a clone's learnt
+// database stays warm across the cubes it conquers.
+//
+// Budget: the caller's max_time is one deadline for the whole call, and
+// it and the stop token reach the burn-in, every cube and the race
+// fallback; max_conflicts bounds each cube.
 //
 // Clause sharing between conquerors is sound even though they solve
 // different cubes: cube literals enter the solver as *assumptions*, never
@@ -330,7 +379,8 @@ PortfolioResult race_portfolio(const core::UfdiAttackModel& model,
 // clauses as literals but are never resolved away. Every learnt clause is
 // therefore implied by the shared database alone, independent of which
 // cube produced it, and the existing ClauseChannel level-0 import path
-// lands it safely in any sibling (see smt/clause_exchange.h).
+// lands it safely in any sibling (see smt/clause_exchange.h). The same
+// argument covers the clauses the workers inherit from the burn-in.
 //
 // Verdicts (cube-tree accounting): the cubes partition the search space,
 // so SAT from any cube is a genuine model and short-circuits the rest
@@ -338,26 +388,43 @@ PortfolioResult race_portfolio(const core::UfdiAttackModel& model,
 // UNSAT requires *every* cube refuted; anything else — a budget-exhausted
 // or cancelled cube — leaves the tree open and the verdict Unknown.
 PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
-                                  const PortfolioOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
-  const CubeSet cubes = split_cubes(model, options.cube);
-  if (cubes.refuted) {
-    // Lookahead alone closed the instance: some split candidate conflicts
-    // in both phases at level 0.
-    PortfolioResult out;
-    out.verification.result = smt::SolveResult::Unsat;
-    out.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    out.verification.seconds = out.seconds;
+                                  const PortfolioOptions& options,
+                                  const Deadline& deadline) {
+  const auto start = Clock::now();
+  PortfolioResult out;
+  auto finish = [&](std::size_t members) {
+    out.seconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    if (out.winner < 0) out.verification.seconds = out.seconds;
     if (options.trace.enabled()) {
-      emit_done_event(options.trace, out, options, 0);
+      emit_done_event(options.trace, out, options, members);
     }
+  };
+
+  std::unique_ptr<core::UfdiAttackModel> prober = model.clone();
+  if (!options.members.empty()) {
+    prober->set_solver_options(options.members[0].options);
+  }
+  CubeSet cubes;
+  smt::Budget burnin = options.budget;
+  if (deadline.clip(burnin)) {
+    cubes = split_cubes(std::move(prober), options.cube, burnin);
+  }
+  if (cubes.refuted) {
+    // The burn-in or the lookahead closed the instance on its own.
+    out.verification.result = smt::SolveResult::Unsat;
+    out.verification.stats = cubes.burnin;
+    finish(0);
+    return out;
+  }
+  if (stop_requested(options.budget) || deadline.passed()) {
+    finish(0);  // cancelled, or out of time, before any cube ran
     return out;
   }
   if (cubes.cubes.size() < 2) {
     // No usable split: racing is the better use of the threads.
-    return race_portfolio(model, options);
+    cubes.prober.reset();
+    return race_portfolio(model, options, deadline);
   }
 
   const std::size_t numCubes = cubes.cubes.size();
@@ -370,22 +437,9 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
       1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
   const std::size_t numWorkers = std::min(
       {options.num_threads > 0 ? options.num_threads : 1, numCubes, hw});
-  // Default worker engines: robust presets only. A racing portfolio can
-  // afford aggressive members (a slow racer just loses), but in conquer
-  // every cube gates the UNSAT verdict, so a member that is pathological
-  // on one cube stalls the whole tree. Phase-forcing and random-branching
-  // variants are exactly the ones observed to do that; callers who want
-  // them can still pass explicit members.
-  std::vector<PortfolioMember> members;
-  if (options.members.empty()) {
-    const std::vector<PortfolioMember> presets = engine_presets();
-    // baseline, lrb, chrono-64, ema-restarts, geometric-restarts.
-    for (std::size_t k = 0; k < numWorkers; ++k) {
-      members.push_back(presets[k % 5]);
-    }
-  } else {
-    members = options.members;
-  }
+  const std::string engine =
+      options.members.empty() ? "baseline" : options.members[0].label;
+  const core::UfdiAttackModel& fork = *cubes.prober;
 
   ClauseChannel channel;
   std::vector<smt::ClauseExchange*> endpoints(numWorkers, nullptr);
@@ -395,11 +449,10 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
     }
   }
 
-  PortfolioResult out;
   out.cubes_generated = numCubes;
   out.members.resize(numCubes);
   for (std::size_t k = 0; k < numCubes; ++k) {
-    out.members[k].label = "cube-" + std::to_string(k);
+    out.members[k].label = "cube-" + std::to_string(k) + "/" + engine;
   }
 
   std::atomic<bool> raceStop{false};
@@ -414,11 +467,8 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
   futures.reserve(numWorkers);
   for (std::size_t w = 0; w < numWorkers; ++w) {
     futures.push_back(pool.submit([&, w] {
-      const PortfolioMember& member = members[w % members.size()];
-      auto clone = model.clone();
-      smt::SatOptions sopts = member.options;
-      sopts.exchange = endpoints[w];
-      clone->set_solver_options(sopts);
+      auto clone = fork.clone();
+      clone->set_clause_exchange(endpoints[w]);
       for (;;) {
         const std::size_t k =
             nextCube.fetch_add(1, std::memory_order_relaxed);
@@ -429,18 +479,18 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
           // stop): mark the unstarted cube cancelled and keep draining so
           // every cube gets an outcome.
           std::lock_guard<std::mutex> lock(mu);
-          out.members[k].label += "/" + member.label;
           out.members[k].cancelled = true;
           continue;
         }
         smt::Budget budget = options.budget;
         budget.stop = &raceStop;
-        core::VerificationResult v =
-            clone->verify_with_assumptions(cubes.cubes[k], budget);
+        core::VerificationResult v;
+        if (deadline.clip(budget)) {
+          v = clone->verify_with_assumptions(cubes.cubes[k], budget);
+        }
         const bool raceDecided = raceStop.load(std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(mu);
         PortfolioMemberOutcome& outcome = out.members[k];
-        outcome.label += "/" + member.label;
         outcome.result = v.result;
         outcome.seconds = v.seconds;
         outcome.stats = v.stats;
@@ -492,19 +542,14 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
   } else if (refuted == numCubes) {
     // Every branch of the cube tree is closed: joint UNSAT. The winner
     // stays -1 — no single cube owns the proof — and the reported stats
-    // are the whole tree's effort.
+    // are the whole tree's effort, burn-in included.
     out.verification.result = smt::SolveResult::Unsat;
+    out.verification.stats = cubes.burnin;
     for (std::size_t k = 0; k < numCubes; ++k) {
       accumulate_stats(out.verification.stats, results[k].stats);
     }
   }  // else: some cube Unknown/cancelled — verdict stays Unknown.
-  out.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-  if (winner < 0) out.verification.seconds = out.seconds;
-  if (options.trace.enabled()) {
-    emit_done_event(options.trace, out, options, numCubes);
-  }
+  finish(numCubes);
   return out;
 }
 
@@ -512,9 +557,10 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
 
 PortfolioResult verify_portfolio(const core::UfdiAttackModel& model,
                                  const PortfolioOptions& options) {
+  const Deadline deadline(options.budget);
   return options.mode == PortfolioMode::kCubeAndConquer
-             ? conquer_portfolio(model, options)
-             : race_portfolio(model, options);
+             ? conquer_portfolio(model, options, deadline)
+             : race_portfolio(model, options, deadline);
 }
 
 }  // namespace psse::runtime

@@ -47,8 +47,7 @@ struct PortfolioMember {
 /// *search shape* (branching heuristic, backtracking style, restart
 /// schedule — smt::EngineConfig), not just in seed or polarity. Preset 0
 /// is always "baseline", the default engine. These seed the default
-/// portfolio mix and the conquer workers' diversification, and tools
-/// expose them by name via --engine.
+/// portfolio mix, and tools expose them by name via --engine.
 [[nodiscard]] std::vector<PortfolioMember> engine_presets();
 
 /// Looks up an engine preset by label; returns false (and leaves `out`
@@ -62,8 +61,9 @@ enum class PortfolioMode {
   kRace,
   /// Cube-and-conquer: split the instance into sign-combination cubes on
   /// topology-poisoning literals (split_cubes), then fan the cubes across
-  /// the pool. UNSAT requires every cube refuted; SAT short-circuits.
-  /// Falls back to racing when no usable split exists.
+  /// the pool, each worker a copy of the split's warm prober. UNSAT
+  /// requires every cube refuted; SAT short-circuits. Falls back to racing
+  /// when no usable split exists.
   kCubeAndConquer,
 };
 
@@ -72,11 +72,16 @@ struct PortfolioOptions {
   std::size_t num_threads = 4;
   /// Reproducible winner selection (see file comment).
   bool deterministic = false;
-  /// Per-member budget. A caller-supplied stop token is honoured (it
-  /// cancels the whole portfolio); the internal first-winner cancellation
-  /// is layered on top of it.
+  /// Limits for the call. max_time is one deadline for the whole call,
+  /// fixed on entry: every solve it starts (racing member, burn-in, cube,
+  /// race fallback) gets only the time that is left. max_conflicts bounds
+  /// each member's or each cube's solve. A caller-supplied stop token is
+  /// honoured (it cancels the whole portfolio); the internal first-winner
+  /// cancellation is layered on top of it.
   smt::Budget budget;
   /// Explicit member list; empty selects default_portfolio(num_threads).
+  /// Under kCubeAndConquer only members[0] is used: it configures the
+  /// prober before its burn-in, and every worker inherits that engine.
   std::vector<PortfolioMember> members;
   /// Share learnt clauses between members through a ClauseChannel: each
   /// member exports its short/low-LBD lemmas and imports the siblings' at
@@ -119,7 +124,8 @@ struct PortfolioResult {
   double seconds = 0.0;
   /// Under kRace: one entry per racing member. Under kCubeAndConquer: one
   /// entry per *cube* (labelled "cube-K/engine"), including cubes
-  /// cancelled by a sibling's SAT short-circuit.
+  /// cancelled by a sibling's SAT short-circuit. A cube's stats are its own
+  /// solve; the burn-in's effort is counted once, in the joint UNSAT stats.
   std::vector<PortfolioMemberOutcome> members;
   /// Cube-and-conquer accounting (zero under kRace). An UNSAT verdict
   /// implies cubes_refuted == cubes_generated — the cube tree is only
@@ -133,9 +139,12 @@ struct PortfolioResult {
   [[nodiscard]] bool feasible() const { return verification.feasible(); }
 };
 
-/// Races the portfolio on clones of `model`. The model itself is only read
-/// (to clone); its grid must outlive the call. Thread count equals member
-/// count — each member runs on its own clone on its own pool thread.
+/// Races the portfolio (or conquers cubes) on clones of `model`. The model
+/// itself is only read (to clone); its grid must outlive the call. Clones
+/// are copies, so they start from `model`'s current state: pass a model
+/// that has not solved yet for a cold search. Under kRace thread count
+/// equals member count — each member runs on its own clone on its own pool
+/// thread.
 [[nodiscard]] PortfolioResult verify_portfolio(
     const core::UfdiAttackModel& model, const PortfolioOptions& options = {});
 

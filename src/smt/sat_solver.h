@@ -266,7 +266,11 @@ struct SatOptions {
 class SatSolver {
  public:
   SatSolver() = default;
-  SatSolver(const SatSolver&) = delete;
+  /// A deep copy of the whole search state: clause arena, learnt clauses,
+  /// activities, saved phases, counters. The theory client, the phase-timer
+  /// pointer and options().exchange are copied as they are, so the copy's
+  /// owner must rebind or clear them (see Solver's copy constructor).
+  SatSolver(const SatSolver&) = default;
   SatSolver& operator=(const SatSolver&) = delete;
 
   /// Creates a fresh boolean variable and returns its index.
@@ -293,6 +297,12 @@ class SatSolver {
   /// polarity.
   void set_options(const SatOptions& options);
   [[nodiscard]] const SatOptions& options() const { return options_; }
+
+  /// Attaches (or detaches, with nullptr) a learned-clause sharing endpoint
+  /// and leaves every other option and the search state as they are —
+  /// unlike set_options, it keeps saved phases, so a warm copy can join a
+  /// sharing channel without losing them.
+  void set_exchange(ClauseExchange* exchange) { options_.exchange = exchange; }
 
   /// Saves the sizes of the constraint database.
   void push();

@@ -133,7 +133,10 @@ class Simplex {
   };
 
   Simplex() = default;
-  Simplex(const Simplex&) = delete;
+  /// A deep copy of the tableau, bounds, trail and counters. The interrupt
+  /// and phase-timer pointers are copied as they are: the owner rebinds
+  /// them (see Solver's copy constructor).
+  Simplex(const Simplex&) = default;
   Simplex& operator=(const Simplex&) = delete;
 
   /// Creates a theory variable (initially unbounded, value 0).

@@ -40,6 +40,33 @@ class EncodeSpan {
 
 Solver::Solver() { sat_.set_theory(this); }
 
+Solver::Solver(const Solver& other)
+    : TheoryClient(other),
+      terms_(other.terms_),
+      sat_(other.sat_),
+      simplex_(other.simplex_),
+      encoded_(other.encoded_),
+      encoded_trail_(other.encoded_trail_),
+      sat_to_atom_(other.sat_to_atom_),
+      atoms_(other.atoms_),
+      atom_sat_vars_(other.atom_sat_vars_),
+      var_atoms_(other.var_atoms_),
+      implied_(other.implied_),
+      real_to_simplex_(other.real_to_simplex_),
+      assert_marks_(other.assert_marks_),
+      model_reals_(other.model_reals_),
+      save_points_(other.save_points_),
+      phase_times_(other.phase_times_),
+      phase_timing_(other.phase_timing_),
+      encode_depth_(other.encode_depth_),
+      bigint_promotions_(other.bigint_promotions_) {
+  // The copied cores still point at `other`: rebind them to this solver,
+  // and leave the source's sharing channel to the source.
+  sat_.set_theory(this);
+  sat_.set_exchange(nullptr);
+  enable_phase_timing(phase_timing_);
+}
+
 void Solver::enable_phase_timing(bool on) {
   phase_timing_ = on;
   sat_.set_phase_times(on ? &phase_times_ : nullptr);
@@ -233,7 +260,10 @@ SolveResult Solver::solve(const std::vector<TermRef>& assumptions,
   std::vector<Lit> lits;
   lits.reserve(assumptions.size());
   for (TermRef t : assumptions) lits.push_back(encode(t));
-  return sat_.solve(lits, budget);
+  const std::uint64_t promotionsBefore = bigint_promotions();
+  const SolveResult r = sat_.solve(lits, budget);
+  bigint_promotions_ += bigint_promotions() - promotionsBefore;
+  return r;
 }
 
 bool Solver::bool_value(TermRef t) const {
@@ -303,7 +333,7 @@ SolverStats Solver::stats() const {
   st.eta_updates = simplex_.num_eta_updates();
   st.refactorisations = simplex_.num_refactorisations();
   st.eta_file_len_max = simplex_.eta_file_len_max();
-  st.bigint_promotions = bigint_promotions();
+  st.bigint_promotions = bigint_promotions_;
   st.num_terms = terms_.num_nodes();
   st.num_atoms = atoms_.size();
   st.num_bool_vars = static_cast<std::size_t>(sat_.num_vars());

@@ -42,8 +42,9 @@ struct SolverStats {
   /// check() calls that exhausted the heuristic pivot budget and fell back
   /// to Bland's rule (see SimplexOptions::bland_fallback_after).
   std::uint64_t bland_fallbacks = 0;
-  /// Inline->limb BigInt promotions on this solver's thread (genuine
-  /// 64-bit overflows: departures from the allocation-free fast path).
+  /// Inline->limb BigInt promotions during this solver's solve() calls
+  /// (genuine 64-bit overflows: departures from the allocation-free fast
+  /// path). Work of other solvers on the same thread is not counted.
   std::uint64_t bigint_promotions = 0;
   /// Float-filter accounting (see Simplex): pivots whose assignment updates
   /// ran in doubles only, exact recomputations forced by a verdict-bearing
@@ -95,7 +96,13 @@ struct SolverStats {
 class Solver final : private TheoryClient {
  public:
   Solver();
-  Solver(const Solver&) = delete;
+  /// A deep copy of the whole solver — terms, clause database, learnt
+  /// clauses, activities, saved phases, tableau, counters — which searches
+  /// exactly as the source would from here on. The copy is its own theory
+  /// client and times into its own PhaseTimes (timing stays on if it was
+  /// on); it is attached to no ClauseExchange. Copying only reads `other`,
+  /// so many threads may copy one solver at once while none solves it.
+  Solver(const Solver& other);
   Solver& operator=(const Solver&) = delete;
 
   /// Term builder (owned by the solver).
@@ -107,6 +114,11 @@ class Solver final : private TheoryClient {
   }
   [[nodiscard]] const SatOptions& sat_options() const {
     return sat_.options();
+  }
+  /// Attaches (or detaches) a learned-clause sharing endpoint without
+  /// touching the search state (see SatSolver::set_exchange).
+  void set_clause_exchange(ClauseExchange* exchange) {
+    sat_.set_exchange(exchange);
   }
 
   /// Reconfigures the theory solver's pivot rule / propagation tracking.
@@ -241,6 +253,10 @@ class Solver final : private TheoryClient {
   obs::PhaseTimes phase_times_;
   bool phase_timing_ = false;
   int encode_depth_ = 0;
+
+  // BigInt promotions summed over this solver's solve() calls (the
+  // thread-local counter's delta across each call).
+  std::uint64_t bigint_promotions_ = 0;
 };
 
 }  // namespace psse::smt

@@ -60,7 +60,9 @@ struct TermNode {
 class TermManager {
  public:
   TermManager();
-  TermManager(const TermManager&) = delete;
+  /// A deep copy: the same nodes under the same TermRefs (clones rely on
+  /// this; see Solver's copy constructor).
+  TermManager(const TermManager&) = default;
   TermManager& operator=(const TermManager&) = delete;
 
   /// The constant true/false terms.

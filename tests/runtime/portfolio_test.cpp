@@ -8,12 +8,14 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/attack_model.h"
 #include "core/scenario.h"
 #include "core/synthesis.h"
 #include "obs/trace.h"
+#include "runtime/cube.h"
 #include "runtime/portfolio.h"
 
 namespace psse {
@@ -83,7 +85,10 @@ TEST(Portfolio, RacingVerdictMatchesSerialOnAllScenarios) {
     core::VerificationResult serial = model.verify();
     runtime::PortfolioOptions opt;
     opt.num_threads = 4;
-    runtime::PortfolioResult pr = runtime::verify_portfolio(model, opt);
+    // A fresh model: clones copy their source's state, and the race must
+    // search cold, not on top of the serial solve's learnt clauses.
+    const core::UfdiAttackModel cold(sc.grid, sc.plan, sc.spec);
+    runtime::PortfolioResult pr = runtime::verify_portfolio(cold, opt);
     EXPECT_EQ(pr.result(), serial.result) << file;
     EXPECT_GE(pr.winner, 0) << file;
     if (pr.result() == smt::SolveResult::Sat) {
@@ -235,8 +240,13 @@ TEST(CubeAndConquer, VerdictMatchesSerialOnAllScenarios) {
     // A tiny burn-in keeps the suite fast; correctness cannot depend on
     // how warm the activity ranking is.
     opt.cube.burnin_conflicts = 40;
-    runtime::PortfolioResult pr = runtime::verify_portfolio(model, opt);
+    // A fresh model, so the split and the cubes start cold (see above).
+    const core::UfdiAttackModel cold(sc.grid, sc.plan, sc.spec);
+    runtime::PortfolioResult pr = runtime::verify_portfolio(cold, opt);
     EXPECT_EQ(pr.result(), serial.result) << file;
+    if (pr.result() == smt::SolveResult::Unsat && pr.cubes_generated > 0) {
+      EXPECT_EQ(pr.cubes_refuted, pr.cubes_generated) << file;
+    }
     if (pr.result() == smt::SolveResult::Sat) {
       ASSERT_TRUE(pr.verification.attack.has_value()) << file;
       // A SAT cube's model is a genuine attack on the original instance:
@@ -272,6 +282,104 @@ TEST(CubeAndConquer, UnsatRequiresEveryCubeRefuted) {
   }
   // No cube owns the joint proof.
   EXPECT_EQ(pr.winner, -1);
+}
+
+// The ieee118 refutation from data/: UNSAT, about 0.2 s serially, and it
+// splits into a full cube tree.
+core::Scenario refutation() { return load_scenario("ieee118_refute.scn"); }
+
+// The caller's stop token and deadline reach the burn-in: with a burn-in
+// budget large enough to refute the whole instance on its own, a stop set
+// before the call or a 1 ms deadline must still end in Unknown.
+TEST(CubeAndConquer, StopTokenReachesTheBurnIn) {
+  const core::Scenario sc = refutation();
+  const core::UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
+  std::atomic<bool> stop{true};
+  runtime::PortfolioOptions opt;
+  opt.num_threads = 4;
+  opt.mode = runtime::PortfolioMode::kCubeAndConquer;
+  opt.cube.burnin_conflicts = 1'000'000;
+  opt.budget.stop = &stop;
+  const runtime::PortfolioResult pr = runtime::verify_portfolio(model, opt);
+  EXPECT_EQ(pr.result(), smt::SolveResult::Unknown);
+  EXPECT_EQ(pr.cubes_refuted, 0u);
+}
+
+TEST(CubeAndConquer, DeadlineCoversTheBurnIn) {
+  const core::Scenario sc = refutation();
+  const core::UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
+  runtime::PortfolioOptions opt;
+  opt.num_threads = 4;
+  opt.mode = runtime::PortfolioMode::kCubeAndConquer;
+  opt.cube.burnin_conflicts = 1'000'000;
+  opt.budget.max_time = std::chrono::milliseconds(1);
+  const runtime::PortfolioResult pr = runtime::verify_portfolio(model, opt);
+  EXPECT_EQ(pr.result(), smt::SolveResult::Unknown);
+  EXPECT_EQ(pr.cubes_refuted, 0u);
+}
+
+// The burn-in's work is part of the refutation: the joint UNSAT stats are
+// the burn-in plus every cube. The burn-in is one deterministic serial
+// search from a copy of the same unsolved model, so a direct split
+// reproduces its counts exactly.
+TEST(CubeAndConquer, JointStatsIncludeTheBurnIn) {
+  const core::Scenario sc = refutation();
+  const core::UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
+  runtime::PortfolioOptions opt;
+  opt.num_threads = 2;
+  opt.mode = runtime::PortfolioMode::kCubeAndConquer;
+  const runtime::CubeSet split = runtime::split_cubes(model, opt.cube);
+  ASSERT_GT(split.cubes.size(), 1u);
+  ASSERT_GT(split.burnin.sat.conflicts, 0u);
+  const runtime::PortfolioResult pr = runtime::verify_portfolio(model, opt);
+  ASSERT_EQ(pr.result(), smt::SolveResult::Unsat);
+  EXPECT_EQ(pr.cubes_refuted, pr.cubes_generated);
+  std::uint64_t cubeConflicts = 0;
+  std::uint64_t cubeDecisions = 0;
+  for (const auto& m : pr.members) {
+    cubeConflicts += m.stats.sat.conflicts;
+    cubeDecisions += m.stats.sat.decisions;
+  }
+  EXPECT_EQ(pr.verification.stats.sat.conflicts,
+            split.burnin.sat.conflicts + cubeConflicts);
+  EXPECT_EQ(pr.verification.stats.sat.decisions,
+            split.burnin.sat.decisions + cubeDecisions);
+}
+
+// The warm fork's concurrency contract: four threads clone one const,
+// burned-in prober at the same time and conquer its cubes on their copies.
+TEST(CubeAndConquer, ThreadsForkOneWarmProberConcurrently) {
+  core::Scenario sc = load_scenario("ieee57_verification.scn");
+  core::AttackSpec spec = sc.spec;
+  spec.max_altered_measurements = 3;  // below the 4-measurement floor
+  const core::UfdiAttackModel model(sc.grid, sc.plan, spec);
+  runtime::CubeOptions cube;
+  cube.burnin_conflicts = 40;
+  const runtime::CubeSet split = runtime::split_cubes(model, cube);
+  ASSERT_GT(split.cubes.size(), 1u);
+  const core::UfdiAttackModel& prober = *split.prober;
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<smt::SolveResult>> verdicts(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      std::unique_ptr<core::UfdiAttackModel> fork = prober.clone();
+      for (std::size_t k = w; k < split.cubes.size(); k += kThreads) {
+        verdicts[w].push_back(
+            fork->verify_with_assumptions(split.cubes[k]).result);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  std::size_t refuted = 0;
+  for (const auto& vs : verdicts) {
+    for (smt::SolveResult v : vs) {
+      EXPECT_EQ(v, smt::SolveResult::Unsat);
+      refuted += v == smt::SolveResult::Unsat ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(refuted, split.cubes.size());
 }
 
 TEST(CubeAndConquer, SatShortCircuitLeavesTheModelReusable) {

@@ -261,6 +261,33 @@ TEST(SatSolver, ConflictBudgetReturnsUnknown) {
   EXPECT_EQ(s.solve(), SolveResult::Unsat);
 }
 
+// A copy carries the whole search state: a partial solve's learnt clauses
+// survive the copy, the copy searches on its own, and it runs exactly the
+// search the source would have run.
+TEST(SatSolver, CopyKeepsLearntClausesAndSearchesIndependently) {
+  SatSolver s;
+  add_pigeonhole(s, 6);
+  Budget b;
+  b.max_conflicts = 100;
+  ASSERT_EQ(s.solve({}, b), SolveResult::Unknown);
+  ASSERT_GT(s.num_learned_clauses(), 0u);
+
+  const std::size_t learnt = s.num_learned_clauses();
+  const SatStats before = s.stats();
+  SatSolver copy(s);
+  EXPECT_EQ(copy.num_learned_clauses(), learnt);
+  EXPECT_EQ(copy.stats().conflicts, before.conflicts);
+  EXPECT_EQ(copy.solve(), SolveResult::Unsat);
+  EXPECT_EQ(s.num_learned_clauses(), learnt);
+  EXPECT_EQ(s.stats().conflicts, before.conflicts);
+  EXPECT_EQ(s.stats().decisions, before.decisions);
+
+  EXPECT_EQ(s.solve(), SolveResult::Unsat);
+  EXPECT_EQ(s.stats().conflicts, copy.stats().conflicts);
+  EXPECT_EQ(s.stats().decisions, copy.stats().decisions);
+  EXPECT_EQ(s.stats().propagations, copy.stats().propagations);
+}
+
 TEST(SatSolver, TimeBudgetReturnsUnknown) {
   SatSolver s;
   add_pigeonhole(s, 12);  // resolution-hard: will not finish in 50 ms

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
+
+#include "smt/bigint.h"
 
 namespace psse::smt {
 namespace {
@@ -273,6 +276,49 @@ TEST(SmtSolver, TheoryPropagationDecidesImpliedAtom) {
 
 // The snapshot/delta satellite fix: lifetime counters are monotone across
 // solve() calls, and stats_since() isolates exactly one call's effort.
+// bigint_promotions is this solver's count, not its thread's: a second
+// solver on the same thread, and BigInt work outside any solve, leave it
+// alone.
+TEST(SmtSolver, BigintPromotionsCountOnlyThisSolversSolves) {
+  Solver quiet;
+  TVar q = quiet.mk_real("q");
+  quiet.assert_term(quiet.terms().mk_ge(LinExpr::var(q), Rational(1)));
+  ASSERT_EQ(quiet.solve(), SolveResult::Sat);
+  EXPECT_EQ(quiet.stats().bigint_promotions, 0u);
+
+  // Coefficients near 2^40: pivoting multiplies them past 64 bits.
+  Solver busy;
+  auto& t = busy.terms();
+  const TVar x = busy.mk_real("x");
+  const TVar y = busy.mk_real("y");
+  const TVar z = busy.mk_real("z");
+  const std::int64_t big = std::int64_t{1} << 40;
+  LinExpr e1 = LinExpr::var(x) * Rational(big + 15) +
+               LinExpr::var(y) * Rational(big - 87) +
+               LinExpr::var(z) * Rational(3);
+  LinExpr e2 = LinExpr::var(x) * Rational(big - 183) -
+               LinExpr::var(y) * Rational(big + 375) +
+               LinExpr::var(z) * Rational(7, big + 1);
+  LinExpr e3 = LinExpr::var(x) * Rational(5, big - 5) +
+               LinExpr::var(y) * Rational(big + 99) -
+               LinExpr::var(z) * Rational(big - 11);
+  busy.assert_term(t.mk_ge(e1, Rational(3)));
+  busy.assert_term(t.mk_le(e2, Rational(-5)));
+  busy.assert_term(t.mk_ge(e3, Rational(11)));
+  busy.assert_term(t.mk_le(LinExpr::var(x) + LinExpr::var(y), Rational(1)));
+  const std::uint64_t threadBefore = bigint_promotions();
+  ASSERT_EQ(busy.solve(), SolveResult::Sat);
+  const std::uint64_t threadDelta = bigint_promotions() - threadBefore;
+  ASSERT_GT(threadDelta, 0u);
+  EXPECT_EQ(busy.stats().bigint_promotions, threadDelta);
+
+  // BigInt arithmetic outside any solve promotes on this thread too.
+  const BigInt wide = BigInt(big) * BigInt(big);
+  EXPECT_GT(wide, BigInt(big));
+  EXPECT_EQ(quiet.stats().bigint_promotions, 0u);
+  EXPECT_EQ(busy.stats().bigint_promotions, threadDelta);
+}
+
 TEST(SmtSolver, StatsSinceIsolatesEachSolve) {
   Solver s;
   auto& t = s.terms();
