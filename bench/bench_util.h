@@ -221,6 +221,7 @@ inline void accumulate_phases(obs::PhaseTimes& into,
 /// row (microseconds; zero when the phase never ran).
 inline JsonLine& phase_fields(JsonLine& line, const obs::PhaseTimes& pt) {
   line.field("encode_us", static_cast<std::uint64_t>(pt.encode_us))
+      .field("propagate_us", static_cast<std::uint64_t>(pt.propagate_us))
       .field("simplex_us", static_cast<std::uint64_t>(pt.simplex_us))
       .field("tprop_us", static_cast<std::uint64_t>(pt.tprop_us))
       .field("theory_us", static_cast<std::uint64_t>(pt.theory_us))

@@ -1,34 +1,29 @@
-// portfolio_scaling: portfolio verification speedup vs. member count,
-// with and without learned-clause sharing.
+// portfolio_scaling: portfolio verification speedup vs. member count.
 //
 // For the IEEE 30- and 57-bus verification scenarios, runs the serial
-// verify() baseline and then racing portfolios of 1, 2, 4 and 8 members
-// (or the --threads list), each member count once with sharing off and
-// once with the clause channel on. Speedup is serial_ms / portfolio_ms for
-// the same scenario. Every row solves a freshly encoded model: portfolio
-// clones copy their source's state, so racing the model the serial row
-// already solved would start from its learnt clauses. Because all members
-// are sound and complete — and shared clauses are implied by the common
-// formula — the verdict column must be constant down each scenario's
-// block, a cheap cross-check that neither racing nor sharing changes the
-// answer. On a single-core host the speedup measures diversification plus
-// sharing (another member's learnt clauses pruning this member's search),
-// not parallelism; with real cores the effects combine.
+// verify() baseline and then one racing portfolio per member count: 1, 2,
+// 4 and 8 members (or the --threads list). Speedup is serial_ms /
+// portfolio_ms for the same scenario. Every row solves a freshly encoded
+// model: portfolio clones copy their source's state, so racing the model
+// the serial row already solved would start from its learnt clauses.
+// Because all members are sound and complete, the verdict column must be
+// constant down each scenario's block, a cheap cross-check that racing
+// does not change the answer. On a single-core host the speedup measures
+// diversification, not parallelism; with real cores the effects combine.
 //
 // --mode cube switches to the cube-and-conquer comparison instead: for
 // all-UNSAT fig4d-style instances (full measurement plan, mid-grid target,
 // max_altered_measurements below the 4-measurement floor) on ieee57,
 // ieee118, ieee300 and synth1000, it prints what one encode and one clone
-// (a copy of the encoded model) cost, then runs the serial baseline,
-// 8-member racing portfolios with sharing off/on, and the cube-and-conquer
-// portfolio once per --threads entry (default 8; e.g. --threads 1,2,4 for
-// the worker curve; conquer never runs more workers than hardware
-// threads). Racing cannot beat serial on UNSAT — every member must
-// re-refute the whole space, so the race finishes with the single fastest
-// member — while cubes partition the space into disjoint subproblems whose
-// refutations run (and finish) in parallel. The verdict column must still
-// be constant down each block. --only NAME restricts the run to one
-// system.
+// (a copy of the encoded model) cost, then runs the serial baseline, an
+// 8-member racing portfolio, and the cube-and-conquer portfolio once per
+// --threads entry (default 8; e.g. --threads 1,2,4 for the worker curve;
+// conquer never runs more workers than hardware threads). Racing cannot
+// beat serial on UNSAT — every member must re-refute the whole space, so
+// the race finishes with the single fastest member — while cubes
+// partition the space into disjoint subproblems whose refutations run
+// (and finish) in parallel. The verdict column must still be constant
+// down each block. --only NAME restricts the run to one system.
 //
 // --json adds one machine-readable line per row (BENCH_smt.json keeps the
 // before/after baseline).
@@ -84,8 +79,8 @@ int run_cube_mode(bool json, const obs::Config& trace,
   bench::header("Cube-and-conquer vs racing on UNSAT verification",
                 "racing repeats one refutation per member; cubes split the "
                 "space so the refutation itself parallelises");
-  std::printf("%-12s %-10s %8s %10s %8s %8s %6s %-14s\n", "system", "mode",
-              "sharing", "ms", "speedup", "verdict", "cubes", "winner");
+  std::printf("%-12s %-10s %10s %8s %8s %6s %-14s\n", "system", "mode",
+              "ms", "speedup", "verdict", "cubes", "winner");
 
   for (const char* name : {"ieee57", "ieee118", "ieee300", "synth1000"}) {
     if (!only.empty() && only != name) continue;
@@ -115,9 +110,8 @@ int run_cube_mode(bool json, const obs::Config& trace,
 
     core::VerificationResult serial = model.verify(bench_budget());
     const double serialMs = serial.seconds * 1000.0;
-    std::printf("%-12s %-10s %8s %10.1f %8.2f %8s %6s %-14s\n", name,
-                "serial", "-", serialMs, 1.0, verdict_name(serial.result),
-                "-", "serial");
+    std::printf("%-12s %-10s %10.1f %8.2f %8s %6s %-14s\n", name, "serial",
+                serialMs, 1.0, verdict_name(serial.result), "-", "serial");
     std::fflush(stdout);
     bench::JsonLine(json, "portfolio_cube", name)
         .field("mode", "serial")
@@ -127,27 +121,23 @@ int run_cube_mode(bool json, const obs::Config& trace,
         .field("verdict", verdict_name(serial.result))
         .emit();
 
-    double bestRaceMs = 0;  // best (smallest) racing wall time
-    for (bool sharing : {false, true}) {
+    double raceMs = 0;
+    {
       const core::UfdiAttackModel fresh(g, plan, spec);
       runtime::PortfolioOptions popt;
       popt.num_threads = 8;
       popt.budget = bench_budget();
-      popt.share_clauses = sharing;
       runtime::PortfolioResult pr = runtime::verify_portfolio(fresh, popt);
-      const double ms = pr.seconds * 1000.0;
-      if (ms > 0 && (bestRaceMs == 0 || ms < bestRaceMs)) bestRaceMs = ms;
-      std::printf("%-12s %-10s %8s %10.1f %8.2f %8s %6s %-14s\n", name,
-                  "race", sharing ? "on" : "off", ms,
-                  ms > 0 ? serialMs / ms : 0.0, verdict_name(pr.result()),
-                  "-", "none");
+      raceMs = pr.seconds * 1000.0;
+      std::printf("%-12s %-10s %10.1f %8.2f %8s %6s %-14s\n", name, "race",
+                  raceMs, raceMs > 0 ? serialMs / raceMs : 0.0,
+                  verdict_name(pr.result()), "-", "none");
       std::fflush(stdout);
       bench::JsonLine(json, "portfolio_cube", name)
           .field("mode", "race")
           .field("threads", std::uint64_t{8})
-          .field("sharing", sharing ? "on" : "off")
-          .field("ms", ms)
-          .field("speedup", ms > 0 ? serialMs / ms : 0.0)
+          .field("ms", raceMs)
+          .field("speedup", raceMs > 0 ? serialMs / raceMs : 0.0)
           .field("verdict", verdict_name(pr.result()))
           .emit();
     }
@@ -167,17 +157,17 @@ int run_cube_mode(bool json, const obs::Config& trace,
                     static_cast<unsigned long long>(pr.cubes_generated));
       char mode[16];
       std::snprintf(mode, sizeof mode, "cube-%zu", threads);
-      std::printf("%-12s %-10s %8s %10.1f %8.2f %8s %6s vs-race %.2fx\n",
-                  name, mode, "off", ms, ms > 0 ? serialMs / ms : 0.0,
+      std::printf("%-12s %-10s %10.1f %8.2f %8s %6s vs-race %.2fx\n", name,
+                  mode, ms, ms > 0 ? serialMs / ms : 0.0,
                   verdict_name(pr.result()), cubes,
-                  ms > 0 ? bestRaceMs / ms : 0.0);
+                  ms > 0 ? raceMs / ms : 0.0);
       std::fflush(stdout);
       bench::JsonLine(json, "portfolio_cube", name)
           .field("mode", "cube")
           .field("threads", static_cast<std::uint64_t>(threads))
           .field("ms", ms)
           .field("speedup", ms > 0 ? serialMs / ms : 0.0)
-          .field("speedup_vs_race", ms > 0 ? bestRaceMs / ms : 0.0)
+          .field("speedup_vs_race", ms > 0 ? raceMs / ms : 0.0)
           .field("cubes_generated", pr.cubes_generated)
           .field("cubes_refuted", pr.cubes_refuted)
           .field("verdict", verdict_name(pr.result()))
@@ -241,10 +231,10 @@ int main(int argc, char** argv) {
   if (threadCounts.empty()) threadCounts = {1, 2, 4, 8};
 
   bench::header("Portfolio verification scaling",
-                "racing diversified members (and sharing their learnt "
-                "clauses) shortens wall time without changing the verdict");
-  std::printf("%-22s %8s %8s %10s %8s %8s %-18s\n", "scenario", "members",
-              "sharing", "ms", "speedup", "verdict", "winner");
+                "racing diversified members shortens wall time without "
+                "changing the verdict");
+  std::printf("%-22s %8s %10s %8s %8s %-18s\n", "scenario", "members", "ms",
+              "speedup", "verdict", "winner");
 
   for (const std::string& name : scenarios) {
     core::Scenario sc;
@@ -258,12 +248,10 @@ int main(int argc, char** argv) {
 
     core::VerificationResult serial = model.verify(bench_budget());
     const double serialMs = serial.seconds * 1000.0;
-    std::printf("%-22s %8s %8s %10.1f %8.2f %8s %-18s\n", name.c_str(),
-                "serial", "-", serialMs, 1.0, verdict_name(serial.result),
-                "serial");
+    std::printf("%-22s %8s %10.1f %8.2f %8s %-18s\n", name.c_str(), "serial",
+                serialMs, 1.0, verdict_name(serial.result), "serial");
     bench::JsonLine(json, "portfolio_scaling", name)
         .field("threads", std::uint64_t{0})
-        .field("sharing", "off")
         .field("ms", serialMs)
         .field("speedup", 1.0)
         .field("verdict", verdict_name(serial.result))
@@ -271,32 +259,26 @@ int main(int argc, char** argv) {
         .emit();
 
     for (std::size_t n : threadCounts) {
-      for (bool sharing : {false, true}) {
-        const core::UfdiAttackModel fresh(sc.grid, sc.plan, sc.spec);
-        runtime::PortfolioOptions popt;
-        popt.num_threads = n;
-        popt.budget = bench_budget();
-        popt.share_clauses = sharing;
-        runtime::PortfolioResult pr = runtime::verify_portfolio(fresh, popt);
-        const double ms = pr.seconds * 1000.0;
-        const std::string winner =
-            pr.winner >= 0
-                ? pr.members[static_cast<std::size_t>(pr.winner)].label
-                : "none";
-        std::printf("%-22s %8zu %8s %10.1f %8.2f %8s %-18s\n", name.c_str(),
-                    n, sharing ? "on" : "off", ms,
-                    ms > 0 ? serialMs / ms : 0.0, verdict_name(pr.result()),
-                    winner.c_str());
-        std::fflush(stdout);
-        bench::JsonLine(json, "portfolio_scaling", name)
-            .field("threads", static_cast<std::uint64_t>(n))
-            .field("sharing", sharing ? "on" : "off")
-            .field("ms", ms)
-            .field("speedup", ms > 0 ? serialMs / ms : 0.0)
-            .field("verdict", verdict_name(pr.result()))
-            .field("winner", winner)
-            .emit();
-      }
+      const core::UfdiAttackModel fresh(sc.grid, sc.plan, sc.spec);
+      runtime::PortfolioOptions popt;
+      popt.num_threads = n;
+      popt.budget = bench_budget();
+      runtime::PortfolioResult pr = runtime::verify_portfolio(fresh, popt);
+      const double ms = pr.seconds * 1000.0;
+      const std::string winner =
+          pr.winner >= 0 ? pr.members[static_cast<std::size_t>(pr.winner)].label
+                         : "none";
+      std::printf("%-22s %8zu %10.1f %8.2f %8s %-18s\n", name.c_str(), n, ms,
+                  ms > 0 ? serialMs / ms : 0.0, verdict_name(pr.result()),
+                  winner.c_str());
+      std::fflush(stdout);
+      bench::JsonLine(json, "portfolio_scaling", name)
+          .field("threads", static_cast<std::uint64_t>(n))
+          .field("ms", ms)
+          .field("speedup", ms > 0 ? serialMs / ms : 0.0)
+          .field("verdict", verdict_name(pr.result()))
+          .field("winner", winner)
+          .emit();
     }
   }
   return 0;

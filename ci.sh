@@ -226,7 +226,9 @@ fi
 # identically in both modes — so ANY divergence here is a soundness bug,
 # not a tolerance issue. The screened run additionally proves the screen's
 # Infeasible claims agree with the solver: every row it marks screened=1
-# must carry an unsat verdict.
+# must carry an unsat verdict. Every experiment row must also carry the
+# boolean-propagation time (propagate_us), so the phase split stays
+# attributable.
 if command -v python3 >/dev/null 2>&1; then
   echo "== ci: fig4a float-filter/screen/eta cross-check =="
   fig4a=""
@@ -255,6 +257,7 @@ for line in sys.stdin:
         continue
     row = json.loads(line)
     if row.get("bench") == "fig4a" and "verdict" in row:
+        assert "propagate_us" in row, f"row without propagate_us: {row}"
         runs[-1][row["case"]] = row["verdict"]
         if len(runs) == 1 and row.get("screened"):
             screened += 1

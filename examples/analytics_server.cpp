@@ -23,7 +23,8 @@
 // verify request to cube-and-conquer, letting clients written against the
 // racing default be rerun under splitting without edits (a request that
 // already asked for "portfolio_mode":"cube" is unaffected; verdicts are
-// identical in either mode).
+// identical in either mode). A malformed count (anything but a whole
+// number up to 4096) is a usage error (exit 2).
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +37,7 @@
 #include <string>
 #include <thread>
 
+#include "cli_args.h"
 #include "obs/trace.h"
 #include "service/analytics_service.h"
 #include "service/json_protocol.h"
@@ -117,9 +119,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto num = [&](std::size_t& out) {
-      if (i + 1 >= argc) return false;
-      out = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-      return true;
+      return i + 1 < argc && cli::parse_count(argv[++i], out);
     };
     if (arg == "--threads") {
       if (!num(cfg.threads) || cfg.threads == 0) return usage(argv[0]);

@@ -26,7 +26,8 @@
 // Scenarios that fail to parse or solve produce an "error" line instead of
 // aborting the batch; the exit status is 1 when *any* line carried an
 // error, so CI pipelines fail loudly instead of trusting a half-empty
-// batch.
+// batch. A malformed count (anything but a whole number in 1..4096) is a
+// usage error (exit 2).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -37,6 +38,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cli_args.h"
 #include "core/scenario.h"
 #include "obs/json_writer.h"
 #include "obs/trace.h"
@@ -90,9 +92,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto num = [&](std::size_t& out) {
-      if (i + 1 >= argc) return false;
-      out = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-      return out > 0;
+      return i + 1 < argc && cli::parse_count(argv[++i], out) && out > 0;
     };
     if (arg == "--threads") {
       if (!num(cfg.threads)) return usage(argv[0]);

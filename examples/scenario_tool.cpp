@@ -13,15 +13,16 @@
 // (runtime::engine_presets: baseline, lrb, chrono-64, ...). `--portfolio N`
 // verifies through an N-thread portfolio instead of one solver;
 // `--portfolio-mode race|cube` picks racing clones or cube-and-conquer.
-// Verdicts are identical across every engine and mode.
+// Verdicts are identical across every engine and mode. A malformed count
+// (anything but a whole number in 0..4096) is a usage error (exit 2).
 // Scenario files live in data/ (see data/README for the format).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "core/attack_model.h"
 #include "core/scenario.h"
 #include "core/synthesis.h"
@@ -61,9 +62,11 @@ int main(int argc, char** argv) {
         std::string v;
         if (!take_value(i, v)) {
           ++i;
-        } else {
-          portfolio =
-              static_cast<std::size_t>(std::strtoul(v.c_str(), nullptr, 10));
+        } else if (!cli::parse_count(v, portfolio)) {
+          std::fprintf(stderr,
+                       "error: --portfolio takes a whole number in 0..%zu\n",
+                       cli::kMaxCount);
+          return 2;
         }
       } else if (std::strcmp(args[i], "--portfolio-mode") == 0 &&
                  i + 1 < args.size()) {

@@ -375,9 +375,6 @@ VerificationResult UfdiAttackModel::run(
                static_cast<std::uint64_t>(out.stats.arena_capacity_bytes))
         .field("arena_live_bytes",
                static_cast<std::uint64_t>(out.stats.arena_live_bytes))
-        .field("clauses_exported", out.stats.sat.clauses_exported)
-        .field("clauses_imported", out.stats.sat.clauses_imported)
-        .field("clauses_accepted", out.stats.sat.clauses_accepted)
         .field("chrono_backtracks", out.stats.sat.chrono_backtracks)
         .field("lrb_selections", out.stats.sat.lrb_selections)
         .field("encode_us", out.phase_times.encode_us)

@@ -83,26 +83,19 @@ class UfdiAttackModel {
   /// counters and SAT/simplex options, so it searches exactly as this model
   /// would from here on; a clone of a model that has not solved yet is
   /// indistinguishable from a fresh encode of the same (grid, plan, spec).
-  /// Trace, phase timing and any clause-sharing endpoint are detached, and
-  /// the clone's phase times start at zero. The clone aliases this model's
-  /// grid reference, so the grid must outlive it. Cloning only reads this
-  /// model: many threads may clone one model at once as long as none of
-  /// them solves it meanwhile. Clones are what the parallel runtime hands
-  /// to worker threads — solver instances are not thread-safe, but
-  /// independent clones solving concurrently are.
+  /// Trace and phase timing are detached, and the clone's phase times
+  /// start at zero. The clone aliases this model's grid reference, so the
+  /// grid must outlive it. Cloning only reads this model: many threads may
+  /// clone one model at once as long as none of them solves it meanwhile.
+  /// Clones are what the parallel runtime hands to worker threads — solver
+  /// instances are not thread-safe, but independent clones solving
+  /// concurrently are.
   [[nodiscard]] std::unique_ptr<UfdiAttackModel> clone() const;
 
   /// Reconfigures the underlying CDCL heuristics (portfolio
   /// diversification). Affects subsequent verify calls only.
   void set_solver_options(const smt::SatOptions& options) {
     solver_.set_sat_options(options);
-  }
-
-  /// Attaches (or detaches) a learned-clause sharing endpoint and keeps the
-  /// rest of the search state, saved phases included — how a warm clone
-  /// joins a sharing channel (see smt::SatSolver::set_exchange).
-  void set_clause_exchange(smt::ClauseExchange* exchange) {
-    solver_.set_clause_exchange(exchange);
   }
 
   /// Attaches structured tracing: every subsequent verify call emits one

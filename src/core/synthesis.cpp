@@ -311,14 +311,6 @@ SynthesisResult SecurityArchitectureSynthesizer::synthesize_parallel() {
     workers.reserve(slots);
     for (std::size_t i = 0; i < slots; ++i) {
       workers.push_back(attackModel_.clone());
-      if (options_.share_clauses != nullptr && slots > 1) {
-        // Workers persist across rounds, so clauses learnt while verifying
-        // one candidate prune every sibling's search on later rounds (the
-        // shared base formula is what they constrain; candidates are pure
-        // assumptions).
-        workers.back()->set_clause_exchange(
-            options_.share_clauses->make_endpoint());
-      }
     }
   }
 

@@ -67,15 +67,6 @@ struct SynthesisOptions {
   /// architecture blocks every attack of the model — but they may return
   /// different, equally valid, architectures.
   int parallel_candidates = 1;
-  /// Learned-clause sharing hub for the parallel CEGIS workers: when set
-  /// (and parallel_candidates > 1), each worker clone gets its own
-  /// endpoint, so conflicts one worker derives about the shared attack
-  /// formula don't have to be re-learnt by its siblings on later rounds.
-  /// Sound because all workers verify clones of one model — candidates
-  /// differ only in solver *assumptions*, which learnt clauses never
-  /// depend on. Typically a runtime::ClauseChannel; must outlive the
-  /// synthesis call. nullptr (default) disables sharing.
-  smt::ClauseExchangeHub* share_clauses = nullptr;
   /// Structured tracing of the CEGIS loop: one "cegis_iter" event per
   /// candidate (bus set, verdict, blocking-clause kind, wall time,
   /// per-candidate solver effort) and a final "cegis_done" event. Off by

@@ -24,8 +24,7 @@
 // combinations of the chosen terms, so their disjunction is valid — the
 // instance is UNSAT iff every cube is refuted, and any SAT cube yields a
 // genuine model (the cube literals are assumptions, never clauses, so no
-// conqueror's learnt clauses depend on them; see portfolio.cpp for the
-// sharing argument).
+// conqueror's learnt clauses depend on them; see portfolio.cpp).
 #pragma once
 
 #include <cstdint>

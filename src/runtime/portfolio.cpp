@@ -7,7 +7,6 @@
 #include <mutex>
 #include <thread>
 
-#include "runtime/clause_channel.h"
 #include "runtime/thread_pool.h"
 #include "smt/common.h"
 
@@ -176,9 +175,6 @@ void emit_member_event(const obs::Config& trace, std::uint64_t index,
       .field("conflicts", v.stats.sat.conflicts)
       .field("restarts", v.stats.sat.restarts)
       .field("pivots", v.stats.pivots)
-      .field("clauses_exported", v.stats.sat.clauses_exported)
-      .field("clauses_imported", v.stats.sat.clauses_imported)
-      .field("clauses_accepted", v.stats.sat.clauses_accepted)
       .field("chrono_backtracks", v.stats.sat.chrono_backtracks)
       .field("lrb_selections", v.stats.sat.lrb_selections)
       .emit(trace);
@@ -218,9 +214,6 @@ void accumulate_stats(smt::SolverStats& acc, const smt::SolverStats& d) {
   acc.sat.theory_conflicts += d.sat.theory_conflicts;
   acc.sat.theory_propagations += d.sat.theory_propagations;
   acc.sat.arena_gcs += d.sat.arena_gcs;
-  acc.sat.clauses_exported += d.sat.clauses_exported;
-  acc.sat.clauses_imported += d.sat.clauses_imported;
-  acc.sat.clauses_accepted += d.sat.clauses_accepted;
   acc.sat.chrono_backtracks += d.sat.chrono_backtracks;
   acc.sat.lrb_selections += d.sat.lrb_selections;
   acc.pivots += d.pivots;
@@ -248,21 +241,11 @@ PortfolioResult race_portfolio(const core::UfdiAttackModel& model,
                                const PortfolioOptions& options,
                                const Deadline& deadline) {
   const auto start = std::chrono::steady_clock::now();
-  std::vector<PortfolioMember> members =
+  const std::vector<PortfolioMember> members =
       options.members.empty() ? default_portfolio(options.num_threads)
                               : options.members;
   PSSE_CHECK(!members.empty(), "verify_portfolio: no portfolio members");
   const std::size_t n = members.size();
-
-  // Learnt-clause sharing: one channel, one endpoint per member. The
-  // channel owns the endpoints and is declared before the pool, so it
-  // outlives every worker.
-  ClauseChannel channel;
-  if (options.share_clauses && n > 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      members[i].options.exchange = channel.make_endpoint();
-    }
-  }
 
   PortfolioResult out;
   out.members.resize(n);
@@ -372,15 +355,10 @@ PortfolioResult race_portfolio(const core::UfdiAttackModel& model,
 // it and the stop token reach the burn-in, every cube and the race
 // fallback; max_conflicts bounds each cube.
 //
-// Clause sharing between conquerors is sound even though they solve
+// Workers inherit the burn-in's learnt clauses even though they solve
 // different cubes: cube literals enter the solver as *assumptions*, never
-// as clauses, and CDCL resolves conflict clauses only over reason clauses
-// from the shared database — assumption/decision literals appear in learnt
-// clauses as literals but are never resolved away. Every learnt clause is
-// therefore implied by the shared database alone, independent of which
-// cube produced it, and the existing ClauseChannel level-0 import path
-// lands it safely in any sibling (see smt/clause_exchange.h). The same
-// argument covers the clauses the workers inherit from the burn-in.
+// as clauses, so every clause the burn-in learnt is implied by the shared
+// database alone.
 //
 // Verdicts (cube-tree accounting): the cubes partition the search space,
 // so SAT from any cube is a genuine model and short-circuits the rest
@@ -441,14 +419,6 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
       options.members.empty() ? "baseline" : options.members[0].label;
   const core::UfdiAttackModel& fork = *cubes.prober;
 
-  ClauseChannel channel;
-  std::vector<smt::ClauseExchange*> endpoints(numWorkers, nullptr);
-  if (options.share_clauses && numWorkers > 1) {
-    for (std::size_t w = 0; w < numWorkers; ++w) {
-      endpoints[w] = channel.make_endpoint();
-    }
-  }
-
   out.cubes_generated = numCubes;
   out.members.resize(numCubes);
   for (std::size_t k = 0; k < numCubes; ++k) {
@@ -466,9 +436,8 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
   std::vector<std::future<void>> futures;
   futures.reserve(numWorkers);
   for (std::size_t w = 0; w < numWorkers; ++w) {
-    futures.push_back(pool.submit([&, w] {
+    futures.push_back(pool.submit([&] {
       auto clone = fork.clone();
-      clone->set_clause_exchange(endpoints[w]);
       for (;;) {
         const std::size_t k =
             nextCube.fetch_add(1, std::memory_order_relaxed);

@@ -83,13 +83,6 @@ struct PortfolioOptions {
   /// Under kCubeAndConquer only members[0] is used: it configures the
   /// prober before its burn-in, and every worker inherits that engine.
   std::vector<PortfolioMember> members;
-  /// Share learnt clauses between members through a ClauseChannel: each
-  /// member exports its short/low-LBD lemmas and imports the siblings' at
-  /// restart boundaries. Sound because members solve clones of one model
-  /// with identical numbering (see smt/clause_exchange.h); off by default
-  /// so each member's search is bit-identical to its serial counterpart.
-  /// Overrides any `exchange` already set in a member's options.
-  bool share_clauses = false;
   /// Structured tracing: one "portfolio_member" event per member as it
   /// completes (including cancelled losers) and a closing "portfolio_done"
   /// event with winner attribution. The sink must outlive the call.

@@ -776,21 +776,11 @@ void SatSolver::rebuild_order_heap() {
   }
 }
 
-void SatSolver::record_learnt(const std::vector<Lit>& lits,
-                              std::uint32_t lbd) {
-  if (options_.exchange == nullptr) return;
-  if (lits.size() > options_.share_max_size || lbd > options_.share_max_lbd) {
-    return;
-  }
-  options_.exchange->export_clause(lits, lbd);
-  ++stats_.clauses_exported;
-}
-
-bool SatSolver::install_implied_clause(const std::vector<Lit>& lits_in,
+void SatSolver::install_implied_clause(const std::vector<Lit>& lits_in,
                                        std::uint32_t lbd,
                                        std::uint32_t depth) {
   PSSE_ASSERT(decision_level() == 0);
-  if (!ok_) return false;
+  if (!ok_) return;
   // Same normalisation as add_clause, but nothing is logged to the pristine
   // database: the clause is implied by it, not part of it.
   std::vector<Lit> lits = lits_in;
@@ -802,49 +792,28 @@ bool SatSolver::install_implied_clause(const std::vector<Lit>& lits_in,
     Lit l = lits[i];
     PSSE_CHECK(l.var() >= 0 && l.var() < num_vars(),
                "install_implied_clause: unknown variable");
-    if (i + 1 < lits.size() && lits[i + 1] == ~l) return false;  // tautology
+    if (i + 1 < lits.size() && lits[i + 1] == ~l) return;  // tautology
     LBool v = value(l);
-    if (v == LBool::True) return false;  // already satisfied at level 0
+    if (v == LBool::True) return;  // already satisfied at level 0
     if (v == LBool::False) continue;
     kept.push_back(l);
   }
   if (kept.empty()) {
     ok_ = false;  // the implied clause is falsified at level 0: UNSAT
-    return true;
+    return;
   }
   if (kept.size() == 1) {
     if (!enqueue(kept[0], Reason::none())) {
       ok_ = false;
-      return true;
+      return;
     }
     learnt_units_.push_back({kept[0], depth});
-    return true;
+    return;
   }
   ClauseRef r = alloc_clause(kept, /*learned=*/true,
                              std::min<std::uint32_t>(lbd, 0xFFFFu), depth);
   attach_clause(r);
   learned_refs_.push_back(r);
-  return true;
-}
-
-void SatSolver::import_shared_clauses() {
-  if (options_.exchange == nullptr || !options_.exchange->has_pending()) {
-    return;
-  }
-  PSSE_ASSERT(decision_level() == 0);
-  options_.exchange->import_clauses(import_buf_);
-  for (const std::vector<Lit>& lits : import_buf_) {
-    ++stats_.clauses_imported;
-    if (!ok_) break;
-    // The sender's LBD is not meaningful under this solver's levels; a
-    // size-based pessimistic glue score keeps imports reducible.
-    const std::uint32_t lbd =
-        static_cast<std::uint32_t>(std::min<std::size_t>(lits.size(), 0xFFFF));
-    if (install_implied_clause(lits, lbd, push_depth())) {
-      ++stats_.clauses_accepted;
-    }
-  }
-  import_buf_.clear();
 }
 
 SolveResult SatSolver::solve(const std::vector<Lit>& assumptions,
@@ -855,9 +824,6 @@ SolveResult SatSolver::solve(const std::vector<Lit>& assumptions,
     PSSE_CHECK(a.var() >= 0 && a.var() < num_vars(),
                "solve: unknown assumption variable");
   }
-  // Pick up clauses sibling solvers learned since the last call.
-  import_shared_clauses();
-  if (!ok_) return SolveResult::Unsat;
   const std::uint64_t conflictLimit =
       budget.max_conflicts == 0 ? UINT64_MAX
                                 : stats_.conflicts + budget.max_conflicts;
@@ -905,7 +871,6 @@ SolveResult SatSolver::solve(const std::vector<Lit>& assumptions,
       // A learnt unit is a level-0 fact; remember its push depth so pop()
       // can replay it if its derivation survives.
       learnt_units_.push_back({lits[0], push_depth()});
-      record_learnt(lits, 1);
       return 1;
     }
     const std::uint32_t lbd = compute_lbd(lits);
@@ -915,7 +880,6 @@ SolveResult SatSolver::solve(const std::vector<Lit>& assumptions,
     ++stats_.learned_clauses;
     bool okEnq = enqueue(lits[0], Reason::clause(r));
     PSSE_ASSERT(okEnq);
-    record_learnt(lits, lbd);
     return lbd;
   };
   auto note_learnt_lbd = [&](std::uint32_t lbd) {
@@ -1035,21 +999,11 @@ SolveResult SatSolver::solve(const std::vector<Lit>& assumptions,
             emaFast = emaSlow;
             break;
         }
-        int restartLevel =
+        const int restartLevel =
             static_cast<int>(assumptions.size()) <= decision_level()
                 ? static_cast<int>(assumptions.size())
                 : 0;
-        // Sibling clauses can only be installed at level 0; when some are
-        // waiting, spend this restart going all the way down to fetch them
-        // (assumptions are simply re-decided afterwards).
-        if (options_.exchange != nullptr && options_.exchange->has_pending()) {
-          restartLevel = 0;
-        }
         cancel_until(restartLevel);
-        if (restartLevel == 0) {
-          import_shared_clauses();
-          if (!ok_) return SolveResult::Unsat;
-        }
       }
       continue;
     }

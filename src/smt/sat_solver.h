@@ -6,9 +6,8 @@
 // exponential VSIDS activities, phase saving, Luby restarts, LBD-based
 // learned-clause reduction with compacting garbage collection, solving
 // under assumptions, push/pop of the constraint database with learnt-clause
-// retention, learned-clause sharing across sibling solvers, and
-// counter-based AtMost-K constraints with lazily reconstructed reasons (no
-// exponential CNF encodings).
+// retention, and counter-based AtMost-K constraints with lazily
+// reconstructed reasons (no exponential CNF encodings).
 //
 // Clause storage (MiniSat/CaDiCaL-style arena): all clauses live in one
 // contiguous uint32 buffer. A clause is identified by a 32-bit word offset
@@ -34,7 +33,6 @@
 
 #include "obs/phase.h"
 #include "smt/budget.h"
-#include "smt/clause_exchange.h"
 #include "smt/literal.h"
 
 namespace psse::smt {
@@ -128,14 +126,10 @@ struct SatStats {
   std::uint64_t theory_propagations = 0;
   /// Compacting arena collections (see reduce_db).
   std::uint64_t arena_gcs = 0;
-  /// Learnt clauses published to the attached ClauseExchange.
+  /// Always 0: learned-clause sharing between solvers was removed. Kept
+  /// only because the perfbench program still reads them.
   std::uint64_t clauses_exported = 0;
-  /// Sibling clauses received from the exchange (before simplification).
   std::uint64_t clauses_imported = 0;
-  /// Imported clauses actually installed (attached or enqueued as level-0
-  /// facts) after level-0 simplification; the rest were already satisfied
-  /// or vacuous.
-  std::uint64_t clauses_accepted = 0;
   /// Conflicts where the engine took a bounded one-level chronological
   /// backtrack instead of the full backjump (EngineConfig::cb_limit).
   std::uint64_t chrono_backtracks = 0;
@@ -157,9 +151,6 @@ struct SatStats {
     d.theory_conflicts = theory_conflicts - earlier.theory_conflicts;
     d.theory_propagations = theory_propagations - earlier.theory_propagations;
     d.arena_gcs = arena_gcs - earlier.arena_gcs;
-    d.clauses_exported = clauses_exported - earlier.clauses_exported;
-    d.clauses_imported = clauses_imported - earlier.clauses_imported;
-    d.clauses_accepted = clauses_accepted - earlier.clauses_accepted;
     d.chrono_backtracks = chrono_backtracks - earlier.chrono_backtracks;
     d.lrb_selections = lrb_selections - earlier.lrb_selections;
     return d;
@@ -248,15 +239,6 @@ struct SatOptions {
   /// force frequent reduction + arena GC (stress testing); the default
   /// reproduces the historical threshold.
   std::uint32_t reduce_db_base = 8000;
-  /// Learned-clause sharing endpoint; nullptr (the default) disables
-  /// sharing entirely and keeps the serial search bit-identical. The
-  /// pointee must outlive every solve call made with it attached. See
-  /// smt/clause_exchange.h for the soundness contract.
-  ClauseExchange* exchange = nullptr;
-  /// Export filters: only learnt clauses at most this long and with LBD at
-  /// most this are published to the exchange.
-  std::uint32_t share_max_size = 30;
-  std::uint32_t share_max_lbd = 4;
   /// Structural search-policy selection (branching / backtracking /
   /// restarts). The default EngineConfig keeps the search bit-identical to
   /// the historical solver.
@@ -267,9 +249,9 @@ class SatSolver {
  public:
   SatSolver() = default;
   /// A deep copy of the whole search state: clause arena, learnt clauses,
-  /// activities, saved phases, counters. The theory client, the phase-timer
-  /// pointer and options().exchange are copied as they are, so the copy's
-  /// owner must rebind or clear them (see Solver's copy constructor).
+  /// activities, saved phases, counters. The theory client and the
+  /// phase-timer pointer are copied as they are, so the copy's owner must
+  /// rebind them (see Solver's copy constructor).
   SatSolver(const SatSolver&) = default;
   SatSolver& operator=(const SatSolver&) = delete;
 
@@ -297,12 +279,6 @@ class SatSolver {
   /// polarity.
   void set_options(const SatOptions& options);
   [[nodiscard]] const SatOptions& options() const { return options_; }
-
-  /// Attaches (or detaches, with nullptr) a learned-clause sharing endpoint
-  /// and leaves every other option and the search state as they are —
-  /// unlike set_options, it keeps saved phases, so a warm copy can join a
-  /// sharing channel without losing them.
-  void set_exchange(ClauseExchange* exchange) { options_.exchange = exchange; }
 
   /// Saves the sizes of the constraint database.
   void push();
@@ -500,18 +476,13 @@ class SatSolver {
   void rebuild_order_heap();
   std::uint32_t compute_lbd(const std::vector<Lit>& lits);
   bool theory_check(bool final, std::vector<Lit>& confl);
-  // Publishes a just-learnt clause to the exchange when the export filters
-  // (share_max_size / share_max_lbd) pass. No-op without an exchange.
-  void record_learnt(const std::vector<Lit>& lits, std::uint32_t lbd);
   // Installs a clause implied by the current constraint database at
   // decision level 0, simplifying against the level-0 assignment. Used by
-  // the sharing import path and by pop()'s learnt retention. Updates
-  // clause/unit bookkeeping but no stats counters; returns true if the
-  // clause was installed (attached or enqueued) rather than discarded as
-  // satisfied/vacuous.
-  bool install_implied_clause(const std::vector<Lit>& lits,
+  // pop()'s learnt retention. Updates clause/unit bookkeeping but no stats
+  // counters; a clause already satisfied at level 0, or a tautology, is
+  // dropped.
+  void install_implied_clause(const std::vector<Lit>& lits,
                               std::uint32_t lbd, std::uint32_t depth);
-  void import_shared_clauses();
 
   // Heap-backed VSIDS order (simple binary heap keyed by activity).
   void heap_insert(Var v);
@@ -565,7 +536,7 @@ class SatSolver {
 
   bool ok_ = true;  // false once UNSAT at level 0
   std::vector<bool> model_;
-  // Live learnt clauses (multi-literal), in learning/import order; purged
+  // Live learnt clauses (multi-literal), in learning order; purged
   // of deleted entries at the end of each reduce_db.
   std::vector<ClauseRef> learned_refs_;
   // Learnt level-0 unit facts with the push-depth they were derived at, so
@@ -589,7 +560,6 @@ class SatSolver {
   // pop() clears the log with the trail.
   std::vector<std::vector<Lit>> theory_reasons_;
   std::vector<TheoryPropagation> theory_props_;  // scratch for theory_check
-  std::vector<std::vector<Lit>> import_buf_;     // scratch for imports
 
   // Temporaries for analyze().
   std::vector<bool> seen_;

@@ -60,10 +60,8 @@ Solver::Solver(const Solver& other)
       phase_timing_(other.phase_timing_),
       encode_depth_(other.encode_depth_),
       bigint_promotions_(other.bigint_promotions_) {
-  // The copied cores still point at `other`: rebind them to this solver,
-  // and leave the source's sharing channel to the source.
+  // The copied cores still point at `other`: rebind them to this solver.
   sat_.set_theory(this);
-  sat_.set_exchange(nullptr);
   enable_phase_timing(phase_timing_);
 }
 

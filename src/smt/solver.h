@@ -100,8 +100,8 @@ class Solver final : private TheoryClient {
   /// clauses, activities, saved phases, tableau, counters — which searches
   /// exactly as the source would from here on. The copy is its own theory
   /// client and times into its own PhaseTimes (timing stays on if it was
-  /// on); it is attached to no ClauseExchange. Copying only reads `other`,
-  /// so many threads may copy one solver at once while none solves it.
+  /// on). Copying only reads `other`, so many threads may copy one solver
+  /// at once while none solves it.
   Solver(const Solver& other);
   Solver& operator=(const Solver&) = delete;
 
@@ -114,11 +114,6 @@ class Solver final : private TheoryClient {
   }
   [[nodiscard]] const SatOptions& sat_options() const {
     return sat_.options();
-  }
-  /// Attaches (or detaches) a learned-clause sharing endpoint without
-  /// touching the search state (see SatSolver::set_exchange).
-  void set_clause_exchange(ClauseExchange* exchange) {
-    sat_.set_exchange(exchange);
   }
 
   /// Reconfigures the theory solver's pivot rule / propagation tracking.

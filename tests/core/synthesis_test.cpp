@@ -160,7 +160,9 @@ TEST(Synthesis, AdjacencyPruningNeverSecuresBothEnds) {
                            line.to) > 0;
     bool guarded = plan.taken(plan.forward_flow(i)) ||
                    plan.taken(plan.backward_flow(i));
-    if (guarded) EXPECT_FALSE(fromIn && toIn) << "line " << i + 1;
+    if (guarded) {
+      EXPECT_FALSE(fromIn && toIn) << "line " << i + 1;
+    }
   }
 }
 

@@ -136,8 +136,8 @@ TEST(MeasurementPlan, IndexingAndResidence) {
   EXPECT_EQ(plan.residence_bus(7, g), 3);    // meas 8: fwd line 8 (4-7)
   EXPECT_EQ(plan.residence_bus(27, g), 6);   // meas 28: bwd line 8
   EXPECT_EQ(plan.residence_bus(43, g), 3);   // meas 44: injection bus 4
-  EXPECT_THROW(plan.decode(54), GridError);
-  EXPECT_THROW(plan.forward_flow(20), GridError);
+  EXPECT_THROW((void)plan.decode(54), GridError);
+  EXPECT_THROW((void)plan.forward_flow(20), GridError);
 }
 
 TEST(MeasurementPlan, SecureBusClosure) {

@@ -18,7 +18,7 @@ TEST(Vector, BasicOps) {
   EXPECT_DOUBLE_EQ(a.dot(b), 32.0);
   EXPECT_DOUBLE_EQ(a.norm2(), std::sqrt(14.0));
   EXPECT_DOUBLE_EQ(a.max_abs(), 3.0);
-  EXPECT_THROW(a.dot(Vector(2)), LinAlgError);
+  EXPECT_THROW((void)a.dot(Vector(2)), LinAlgError);
 }
 
 TEST(Matrix, IdentityAndDiagonal) {

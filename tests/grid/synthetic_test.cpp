@@ -28,7 +28,7 @@ TEST(GridSynthetic, RegistryIsConsistent) {
     EXPECT_GT(s.meas_fraction, 0.5);
     EXPECT_LE(s.meas_fraction, 1.0);
   }
-  EXPECT_THROW(cases::synthetic_spec("synth7"), GridError);
+  EXPECT_THROW((void)cases::synthetic_spec("synth7"), GridError);
   EXPECT_THROW(cases::synthetic_by_name("ieee300"), GridError);
 }
 

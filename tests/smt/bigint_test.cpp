@@ -328,7 +328,9 @@ TEST(BigInt, PropertyDivModInvariant) {
     EXPECT_EQ(q * d + r, n);
     EXPECT_LT(r.abs(), d.abs());
     // Remainder sign matches dividend (or zero).
-    if (!r.is_zero()) EXPECT_EQ(r.is_negative(), n.is_negative());
+    if (!r.is_zero()) {
+      EXPECT_EQ(r.is_negative(), n.is_negative());
+    }
   }
 }
 

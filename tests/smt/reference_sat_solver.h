@@ -14,7 +14,7 @@
 // up as a count mismatch even when the verdict happens to survive.
 //
 // Deliberately unsupported (the fuzz harness does not exercise them):
-// theory hooks, budgets/interrupts, push/pop, clause sharing.
+// theory hooks, budgets/interrupts, push/pop.
 #pragma once
 
 #include <algorithm>

@@ -1,8 +1,8 @@
 // Differential tests for the arena-packed clause database: the production
 // SatSolver must not just agree with a simple reference CDCL on verdicts,
 // it must take the *same search trajectory* — identical decision,
-// propagation, conflict, restart, learn and delete counts — because with
-// sharing off the arena is a pure storage change. Count equality makes the
+// propagation, conflict, restart, learn and delete counts — because the
+// arena is a pure storage change. Count equality makes the
 // oracle sensitive to subtle arena bugs (stale watchers after GC, reason
 // refs the compactor missed, mis-read headers) that verdict-only
 // comparison would miss. Also: GC stress with reason-locked learnt clauses
