@@ -3,11 +3,12 @@
 // Three experiments per IEEE system (different attacked states) plus the
 // average — the series the paper plots as bars + line. With --json each
 // experiment additionally emits one machine-readable line carrying the
-// verdict, the simplex pivot/filter/eta counters, and the per-phase
+// verdict, the search counters (decisions, conflicts, propagations, theory
+// propagations), the simplex pivot/filter/eta counters, and the per-phase
 // wall-time split. --exact-simplex disables the float filter and --no-eta
-// the eta-factorised tableau (ci.sh cross-checks the modes for verdict
-// equality); --synthetic appends the large synthetic grids (600/1000/1500
-// buses at realistic measurement density) to the series.
+// the eta-factorised tableau (ci.sh cross-checks that these modes run the
+// same search); --synthetic appends the large synthetic grids
+// (600/1000/1500 buses at realistic measurement density) to the series.
 #include "bench_util.h"
 #include "grid/synthetic.h"
 
@@ -51,6 +52,10 @@ int main(int argc, char** argv) {
       bench::JsonLine line(json, "fig4a",
                            name + "/exp" + std::to_string(++exp));
       line.field("ms", r.seconds * 1000.0)
+          .field("decisions", r.stats.sat.decisions)
+          .field("conflicts", r.stats.sat.conflicts)
+          .field("propagations", r.stats.sat.propagations)
+          .field("theory_propagations", r.stats.sat.theory_propagations)
           .field("pivots", r.stats.pivots)
           .field("float_pivots", r.stats.float_pivots)
           .field("exact_recomputes", r.stats.exact_recomputes)

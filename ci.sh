@@ -224,11 +224,15 @@ fi
 # screen is a pure front-end that may only prove Unsat, and the eta file
 # is a pure representation change whose float mirrors are composed
 # identically in both modes — so ANY divergence here is a soundness bug,
-# not a tolerance issue. The screened run additionally proves the screen's
-# Infeasible claims agree with the solver: every row it marks screened=1
-# must carry an unsat verdict. Every experiment row must also carry the
-# boolean-propagation time (propagate_us), so the phase split stays
-# attributable.
+# not a matter of tolerance. The three solver modes (filtered, exact,
+# eager) must also run the same search, not only reach the same verdict:
+# every experiment's decisions, conflicts, propagations, theory
+# propagations and pivots agree across them. The screen only annotates
+# fig4a rows, so the --no-screen run is compared by verdict. The screened
+# run additionally proves the screen's Infeasible claims agree with the
+# solver: every row it marks screened=1 must carry an unsat verdict. Every
+# experiment row must also carry the boolean-propagation time
+# (propagate_us), so the phase split stays attributable.
 if command -v python3 >/dev/null 2>&1; then
   echo "== ci: fig4a float-filter/screen/eta cross-check =="
   fig4a=""
@@ -245,13 +249,17 @@ if command -v python3 >/dev/null 2>&1; then
     echo "===SPLIT==="; "${fig4a}" --json --no-eta; } \
     | python3 -c '
 import json, sys
+SEARCH = ("decisions", "conflicts", "propagations", "theory_propagations",
+          "pivots")
 runs = [{}]
+searches = [{}]
 screened = 0
 eager_etas = 0
 for line in sys.stdin:
     line = line.strip()
     if line == "===SPLIT===":
         runs.append({})
+        searches.append({})
         continue
     if not line.startswith("{"):
         continue
@@ -259,6 +267,7 @@ for line in sys.stdin:
     if row.get("bench") == "fig4a" and "verdict" in row:
         assert "propagate_us" in row, f"row without propagate_us: {row}"
         runs[-1][row["case"]] = row["verdict"]
+        searches[-1][row["case"]] = tuple(row[k] for k in SEARCH)
         if len(runs) == 1 and row.get("screened"):
             screened += 1
             assert row["verdict"] == "unsat", \
@@ -275,8 +284,14 @@ for case, verdict in sorted(filtered.items()):
     assert verdict == exact[case] == unscreened[case] == eager[case], \
         f"{case}: filtered={verdict} exact={exact[case]} " \
         f"unscreened={unscreened[case]} eager={eager[case]}"
+filteredS, exactS, _, eagerS = searches
+for case, search in sorted(filteredS.items()):
+    assert search == exactS[case] == eagerS[case], \
+        f"{case}: {SEARCH} filtered={search} exact={exactS[case]} " \
+        f"eager={eagerS[case]}"
 print(f"ci: fig4a verdicts identical across {len(filtered)} experiments "
-      f"x 4 modes ({screened} screen-proved)")
+      f"x 4 modes ({screened} screen-proved); searches identical "
+      f"filtered/exact/eager")
 '
 else
   echo "== ci: fig4a cross-check skipped (no python3) =="

@@ -336,8 +336,9 @@ VerificationResult UfdiAttackModel::run(
     const std::vector<TermRef>& assumptions, const smt::Budget& budget) {
   VerificationResult out;
   // Snapshot/delta: the solver is incremental and reused across calls, so
-  // its counters are lifetime totals — report what *this* call cost.
-  const smt::SolverStats before = solver_.stats();
+  // its counters are lifetime totals — report what *this* call cost. The
+  // gauges come from the after-snapshot, so the before-snapshot skips them.
+  const smt::SolverStats before = solver_.counters();
   const obs::PhaseTimes phasesBefore = solver_.phase_times();
   auto start = std::chrono::steady_clock::now();
   out.result = solver_.solve(assumptions, budget);

@@ -680,6 +680,12 @@ std::string BigInt::to_string() const {
   return digits;
 }
 
+std::size_t BigInt::limb_hash() const {
+  std::uint64_t h = negative_ ? 0x2545f4914f6cdd1dULL : 0x9e3779b97f4a7c15ULL;
+  for (u64 limb : limbs_) h = mix_hash(h ^ limb);
+  return static_cast<std::size_t>(h);
+}
+
 std::ostream& operator<<(std::ostream& os, const BigInt& v) {
   return os << v.to_string();
 }

@@ -82,6 +82,12 @@ class BigInt {
   [[nodiscard]] double to_double() const;
   /// Decimal string representation.
   [[nodiscard]] std::string to_string() const;
+  /// Hash of the canonical representation — the inline value, or the sign
+  /// plus the limbs — so equal values hash equal (the form is unique).
+  [[nodiscard]] std::size_t hash() const {
+    return inline_ ? mix_hash(static_cast<std::uint64_t>(small_))
+                   : limb_hash();
+  }
 
   /// Number of heap-allocated 64-bit limbs in use (0 when the value is
   /// stored inline). Used by the memory accounting in bench/table4_memory.
@@ -227,6 +233,17 @@ class BigInt {
   static BigInt from_u64_mag(std::uint64_t m);
   // Canonical value from a limb magnitude and sign.
   static BigInt from_mag(std::vector<std::uint64_t> mag, bool neg);
+
+  // splitmix64 finaliser: spreads small integers over the whole word.
+  static std::size_t mix_hash(std::uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return static_cast<std::size_t>(x);
+  }
+  std::size_t limb_hash() const;
 
   // Out-of-line continuations of the operators' overflow/big cases.
   BigInt& add_slow(const BigInt& rhs);

@@ -152,10 +152,10 @@ std::string LinExpr::to_string() const {
 }
 
 std::size_t LinExpr::hash() const {
-  std::size_t h = std::hash<std::string>()(constant_.to_string());
+  std::size_t h = constant_.hash();
   for (const auto& [v, c] : terms_) {
     h = h * 1000003u + static_cast<std::size_t>(v);
-    h = h * 1000003u + std::hash<std::string>()(c.to_string());
+    h = h * 1000003u + c.hash();
   }
   return h;
 }

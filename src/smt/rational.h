@@ -118,6 +118,11 @@ class Rational {
     return {v, mag * rel + DoubleApprox::kEta};
   }
   [[nodiscard]] std::string to_string() const;
+  /// Hash of the canonical numerator/denominator pair: equal values hash
+  /// equal, however they were built.
+  [[nodiscard]] std::size_t hash() const {
+    return num_.hash() * 1000003u + den_.hash();
+  }
 
   /// In-place negation (no renormalisation needed).
   void negate() { num_.negate(); }

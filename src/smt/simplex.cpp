@@ -25,7 +25,9 @@ void col_erase(std::vector<std::int32_t>& col, std::int32_t r) {
 // Sign of the exact coefficient a composed mirror entry shadows, when the
 // error interval can prove it: +1 / -1 when the interval clears zero, 0 when
 // the entry is exactly zero (a provably dead union-pattern entry), and 2
-// when the interval straddles zero (NaN/inf poison to 2 as well).
+// when the interval straddles zero (NaN/inf poison to 2 as well). Mirror
+// entries never read 0: Rational::approx() and every DoubleApprox operation
+// add at least DoubleApprox::kEta to the error.
 int shadow_sign(const DoubleApprox& a) {
   if (a.value > a.error) return 1;
   if (-a.value > a.error) return -1;
@@ -93,6 +95,21 @@ void Simplex::mark_row_dirty(std::int32_t rowIdx, bool upper) {
   mask |= bit;
 }
 
+void Simplex::hold_row_place(std::int32_t rowIdx) {
+  std::uint8_t& mask = row_dirty_[static_cast<std::size_t>(rowIdx)];
+  if (mask != 0) return;
+  dirty_rows_.push_back(rowIdx);
+  mask = 4;
+}
+
+bool Simplex::blocked(const Row& row, bool upper) const {
+  const TVar b = row.blocker[upper ? 1 : 0];
+  if (b == kNoTVar) return false;
+  const VarState& st = vars_[static_cast<std::size_t>(b)];
+  const bool consumesUpper = (row.blocker_upper & (upper ? 2 : 1)) != 0;
+  return !(consumesUpper ? st.upper.active : st.lower.active);
+}
+
 void Simplex::refresh_mirror(Row& row) {
   mirror_nnz_ -= row.mirror.size();
   row.mirror.clear();
@@ -102,9 +119,11 @@ void Simplex::refresh_mirror(Row& row) {
   }
   mirror_nnz_ += row.mirror.size();
   // The terms changed, so the cached derivations no longer describe this
-  // row (their vals/revs are aligned term-for-term with the old expr).
+  // row (their vals/revs are aligned term-for-term with the old expr), and
+  // the blockers were read off the old mirror.
   row.derive[0].valid = false;
   row.derive[1].valid = false;
+  row.blocker[0] = row.blocker[1] = kNoTVar;
 }
 
 TVar Simplex::slack_for(const LinExpr& expr) {
@@ -254,9 +273,22 @@ bool Simplex::set_bound(TVar v, const DeltaRational& bound, Lit reason,
     // off the float mirror so exact rows stay untouched: a provably dead
     // union-pattern entry marks nothing, an uncertain sign marks both sides
     // (conservative, and identical whichever eta mode runs).
+    //
+    // A row blocked on both sides skips the mirror lookup: whichever side
+    // this event marks fails again at the drain, unless its blocker's
+    // consumed bound is asserted first, and that assertion walks the row
+    // here and marks the side (`mine` is already active, so its own rows
+    // are not blocked by it). The row is still queued, as the full walk
+    // would queue it (no mirror entry is provably zero, see shadow_sign, so
+    // every column event queues its row): the drain order steers the CDCL
+    // search.
     for (std::int32_t r : cols_[static_cast<std::size_t>(v)]) {
-      const DoubleApprox* m =
-          mirror_coeff(rows_[static_cast<std::size_t>(r)], v);
+      const Row& row = rows_[static_cast<std::size_t>(r)];
+      if (blocked(row, false) && blocked(row, true)) {
+        hold_row_place(r);
+        continue;
+      }
+      const DoubleApprox* m = mirror_coeff(row, v);
       PSSE_ASSERT(m != nullptr);  // cols_ tracks the mirror pattern
       switch (shadow_sign(*m)) {
         case 0:
@@ -508,6 +540,7 @@ void Simplex::float_substitute(std::int32_t r, TVar entering,
   mirror_nnz_ -= other.mirror.size();
   mirror_nnz_ += mirror_scratch_.size();
   other.mirror.swap(mirror_scratch_);
+  other.blocker[0] = other.blocker[1] = kNoTVar;
   col_erase(cols_[static_cast<std::size_t>(entering)], r);
 }
 
@@ -1131,6 +1164,7 @@ void Simplex::propagate_implied(std::vector<ImpliedBound>& out) {
   for (std::int32_t r : dirty_rows_) {
     const std::uint8_t mask = row_dirty_[static_cast<std::size_t>(r)];
     row_dirty_[static_cast<std::size_t>(r)] = 0;
+    if ((mask & 3) == 0) continue;  // queued by hold_row_place only
     if (!interesting_[static_cast<std::size_t>(
             rows_[static_cast<std::size_t>(r)].owner)]) {
       continue;
@@ -1144,23 +1178,30 @@ void Simplex::propagate_implied(std::vector<ImpliedBound>& out) {
 void Simplex::derive_row_bound(std::int32_t rowIdx, bool upper,
                                std::vector<ImpliedBound>& out) {
   {
-    const Row& row = rows_[static_cast<std::size_t>(rowIdx)];
+    Row& row = rows_[static_cast<std::size_t>(rowIdx)];
+    // The cached blocker still lacks its bound: the prepass below would
+    // fail again, at this column or an earlier one.
+    if (blocked(row, upper)) return;
     const VarState& owner = vars_[static_cast<std::size_t>(row.owner)];
     const Bound& own = upper ? owner.upper : owner.lower;
     // Mirror prepass — the row's exact terms may be lagging the eta file,
     // but the composed mirror is always current and its error intervals
     // classify each entry: a sign-certain entry proves the exact
     // coefficient nonzero, so an inactive bound on its consuming side kills
-    // the derivation — measured as 84% of all attempts, killed here with no
-    // exact work (and no eta replay) at all. A provably dead ~0 entry is an
-    // exact cancellation the exact row doesn't (or won't) contain; an
-    // uncertain entry can neither kill nor be summed, so it only disables
-    // the screen. When every entry is sign-certain the mirror pattern IS
-    // the exact pattern and the float sum rigorously encloses the implied
-    // value — the margin screen below then skips rows that provably cannot
-    // tighten the owner's bound, identical on both eta modes since the
-    // mirrors are. (Dropping uncertain derivations outright would also be
-    // sound — hints don't affect completeness — but it destabilizes the
+    // the derivation with no exact work (and no eta replay) at all. This is
+    // most attempts: 98.5% of 1.0M on the ieee118 refutation in data/,
+    // 80% over the fig4a suite. The killing column becomes the side's
+    // blocker, so repeat attempts stop above until that column gets its
+    // bound, and set_bound stops marking rows blocked on both sides (which
+    // cuts the attempts on that refutation to 256k). A provably dead
+    // ~0 entry is an exact cancellation the exact row doesn't (or won't)
+    // contain; an uncertain entry can neither kill nor be summed, so it only
+    // disables the screen. When every entry is sign-certain the mirror
+    // pattern IS the exact pattern and the float sum rigorously encloses the
+    // implied value — the margin screen below then skips rows that provably
+    // cannot tighten the owner's bound, identical on both eta modes since
+    // the mirrors are. (Dropping uncertain derivations outright would also
+    // be sound — hints don't affect completeness — but it destabilizes the
     // search: measured 6x slower on ieee300.)
     bool screenable = options_.float_filter && own.active;
     DoubleApprox sum;
@@ -1172,8 +1213,17 @@ void Simplex::derive_row_bound(std::int32_t rowIdx, bool upper,
         continue;
       }
       const VarState& st = vars_[static_cast<std::size_t>(v)];
-      const Bound& b = (upper != (sg < 0)) ? st.upper : st.lower;
-      if (!b.active) return;  // one unbounded column kills the derivation
+      const bool consumesUpper = upper != (sg < 0);
+      const Bound& b = consumesUpper ? st.upper : st.lower;
+      if (!b.active) {
+        // One unbounded column kills the derivation; remember which.
+        const std::uint8_t bit = upper ? 2 : 1;
+        row.blocker[upper ? 1 : 0] = v;
+        row.blocker_upper = static_cast<std::uint8_t>(
+            consumesUpper ? (row.blocker_upper | bit)
+                          : (row.blocker_upper & ~bit));
+        return;
+      }
       if (screenable) sum.add_mul(b.approx, m);
     }
     if (screenable) {

@@ -45,7 +45,9 @@
 // bounds), each with the premise literals that imply it — the raw material
 // for DPLL(T) theory propagation (see DESIGN.md §6d). Derivations are
 // float-screened: a row whose implied bound provably cannot beat the
-// owner's asserted bound is skipped without exact arithmetic.
+// owner's asserted bound is skipped without exact arithmetic, and a row
+// side that failed on an unbounded column remembers that column, so it
+// fails again in O(1) until the column gets the bound it lacks.
 #pragma once
 
 #include <cstdint>
@@ -335,14 +337,26 @@ class Simplex {
   // scanning the whole file. `orig` is the immutable creation-time
   // identity (orig_owner = orig), the ground truth the Markowitz
   // refactorisation re-derives the whole dictionary from.
+  //
+  // `blocker[s]` caches why side s (0 = lower, 1 = upper) last failed the
+  // mirror prepass of derive_row_bound: a column whose mirror entry is
+  // sign-certain and whose consumed bound (the upper one iff bit s of
+  // `blocker_upper` is set) was inactive. While that bound stays inactive
+  // the side cannot derive, and the prepass would stop at this column or an
+  // earlier one without side effects, so derive_row_bound returns at once
+  // (see blocked()). Inactivity survives pop_to, and the only event that
+  // activates the bound — set_bound — walks this row at that moment. A
+  // mirror change (refresh_mirror, float_substitute) clears both blockers.
   struct Row {
     TVar owner;
+    std::uint32_t epoch = 0;
     LinExpr expr;
     std::vector<std::pair<TVar, DoubleApprox>> mirror;
-    std::uint32_t epoch = 0;
     std::vector<std::uint32_t> pending;
     DeriveCache derive[2];  // [0] = lower, [1] = upper
+    TVar blocker[2] = {kNoTVar, kNoTVar};
     TVar orig_owner = kNoTVar;
+    std::uint8_t blocker_upper = 0;
     LinExpr orig;
   };
 
@@ -363,6 +377,13 @@ class Simplex {
   void touch(TVar v);
   // Marks one side of a row for implied-bound (re)derivation.
   void mark_row_dirty(std::int32_t rowIdx, bool upper);
+  // Queues a row for the next drain without marking a side: a column event
+  // on a row blocked on both sides keeps the row's place in the drain order
+  // (the order the CDCL core sees implied bounds in steers its search).
+  void hold_row_place(std::int32_t rowIdx);
+  // True while side `upper` of the row has a cached blocker whose consumed
+  // bound is still inactive (see Row::blocker).
+  [[nodiscard]] bool blocked(const Row& row, bool upper) const;
   // Derives the upper (or lower) bound a row forces on its owner, if every
   // column variable is bounded on the relevant side. Float-screened: rows
   // that provably cannot tighten the owner's bound are skipped.
@@ -452,7 +473,8 @@ class Simplex {
   std::vector<std::pair<TVar, bool>> fresh_bounds_;  // (var, is_upper)
   std::vector<std::int32_t> dirty_rows_;
   // Per-row bitmask of sides needing re-derivation: bit 0 = lower, bit 1 =
-  // upper (a column bound event only perturbs the side that consumes it).
+  // upper (a column bound event only perturbs the side that consumes it);
+  // bit 2 = queued with no side marked (hold_row_place).
   std::vector<std::uint8_t> row_dirty_;
   std::vector<bool> interesting_;  // vars whose implied bounds have takers
   // Scratch for pivot's row elimination (recycles merge capacity).

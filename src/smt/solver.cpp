@@ -318,7 +318,7 @@ Rational Solver::real_value(TVar v) const {
   return Rational(0);
 }
 
-SolverStats Solver::stats() const {
+SolverStats Solver::counters() const {
   SolverStats st;
   st.sat = sat_.stats();
   st.pivots = simplex_.num_pivots();
@@ -332,6 +332,11 @@ SolverStats Solver::stats() const {
   st.refactorisations = simplex_.num_refactorisations();
   st.eta_file_len_max = simplex_.eta_file_len_max();
   st.bigint_promotions = bigint_promotions_;
+  return st;
+}
+
+SolverStats Solver::stats() const {
+  SolverStats st = counters();
   st.num_terms = terms_.num_nodes();
   st.num_atoms = atoms_.size();
   st.num_bool_vars = static_cast<std::size_t>(sat_.num_vars());

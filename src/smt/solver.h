@@ -166,8 +166,13 @@ class Solver final : private TheoryClient {
   [[nodiscard]] Rational real_value(TVar v) const;
 
   [[nodiscard]] SolverStats stats() const;
+  /// stats() without the gauges (they stay 0). The gauges walk every term
+  /// node, tableau row and watch list, and since() keeps the later
+  /// snapshot's gauges, so this is the cheap before-snapshot of a per-call
+  /// report: stats().since(counters()) == stats().since(stats()).
+  [[nodiscard]] SolverStats counters() const;
 
-  /// Per-call effort since an earlier stats() snapshot (see
+  /// Per-call effort since an earlier stats() or counters() snapshot (see
   /// SolverStats::since). What a per-solve report should print for a
   /// reused or incremental solver.
   [[nodiscard]] SolverStats stats_since(const SolverStats& snapshot) const {

@@ -23,7 +23,7 @@ std::size_t node_hash(const TermNode& n) {
   }
   if (n.kind == TermKind::AtomLe || n.kind == TermKind::AtomLt) {
     h = hash_combine(h, n.expr.hash());
-    h = hash_combine(h, std::hash<std::string>()(n.bound.to_string()));
+    h = hash_combine(h, n.bound.hash());
   }
   return h;
 }

@@ -440,5 +440,35 @@ TEST(AttackModel, StatsAndTimingPopulated) {
   EXPECT_GE(r.seconds, 0.0);
 }
 
+TEST(AttackModel, VerifyReportsTheSolversGaugesAfterTheCall) {
+  // Per-call counters are deltas; the gauges describe the model as the
+  // call left it — on a fresh model and on a warm, incrementally reused one.
+  grid::Grid g = ieee14();
+  grid::MeasurementPlan plan = paper_plan14(g);
+  AttackSpec spec;
+  spec.target_states = {11};
+  spec.max_altered_measurements = 5;
+  UfdiAttackModel model(g, plan, spec);
+  for (int call = 0; call < 2; ++call) {
+    const VerificationResult r =
+        call == 0 ? model.verify() : model.verify_with_secured_buses({1});
+    const smt::SolverStats after = model.solver_stats();
+    EXPECT_EQ(r.stats.num_terms, after.num_terms) << "call " << call;
+    EXPECT_EQ(r.stats.num_atoms, after.num_atoms) << "call " << call;
+    EXPECT_EQ(r.stats.num_bool_vars, after.num_bool_vars) << "call " << call;
+    EXPECT_EQ(r.stats.num_real_vars, after.num_real_vars) << "call " << call;
+    EXPECT_EQ(r.stats.footprint_bytes, after.footprint_bytes)
+        << "call " << call;
+    EXPECT_EQ(r.stats.arena_capacity_bytes, after.arena_capacity_bytes)
+        << "call " << call;
+    EXPECT_EQ(r.stats.arena_live_bytes, after.arena_live_bytes)
+        << "call " << call;
+    EXPECT_EQ(r.stats.eta_file_len_max, after.eta_file_len_max)
+        << "call " << call;
+    EXPECT_GT(r.stats.footprint_bytes, 0u);
+    EXPECT_GT(r.stats.sat.theory_checks, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace psse::core

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <random>
+#include <vector>
 
 #include "smt/common.h"
 
@@ -181,6 +182,50 @@ TEST(BigIntRepr, Int64EdgesStayInline) {
   EXPECT_EQ(mn.to_int64(), INT64_MIN);
   EXPECT_EQ(BigInt::from_string("9223372036854775807"), mx);
   EXPECT_EQ(BigInt::from_string("-9223372036854775808"), mn);
+}
+
+TEST(BigIntRepr, EqualValuesHashEqualOnBothSidesOfTheInlineBoundary) {
+  // Each group holds one value built along different paths: literal,
+  // parsed, and through limb form and back (demotion keeps the stale limb
+  // buffer's capacity, which must not leak into the hash).
+  const BigInt two64 = BigInt::from_string("18446744073709551616");
+  BigInt demotedMax(INT64_MAX);
+  demotedMax += BigInt(1);
+  demotedMax -= BigInt(1);
+  BigInt demotedMin(INT64_MIN);
+  demotedMin -= BigInt(1);
+  demotedMin += BigInt(1);
+  BigInt shrunk = two64 * BigInt(64);  // 2^70, limb form
+  shrunk /= BigInt(1024);              // 2^60, inline again
+  BigInt promotedMax(INT64_MAX);
+  promotedMax += BigInt(1);
+  const BigInt bigProduct = two64 * two64 + BigInt(5);
+  const std::vector<std::vector<BigInt>> groups = {
+      {BigInt(0), BigInt(7) - BigInt(7), BigInt::from_string("-0")},
+      {BigInt(INT64_MAX), BigInt::from_string("9223372036854775807"),
+       demotedMax},
+      {BigInt(INT64_MIN), BigInt::from_string("-9223372036854775808"),
+       demotedMin},
+      {BigInt(std::int64_t{1} << 60), shrunk},
+      {promotedMax, BigInt::from_string("9223372036854775808"),
+       -BigInt(INT64_MIN)},
+      {bigProduct,
+       BigInt::from_string("340282366920938463463374607431768211461")},
+      {-bigProduct,
+       BigInt::from_string("-340282366920938463463374607431768211461")},
+  };
+  for (const auto& group : groups) {
+    for (const BigInt& v : group) {
+      EXPECT_EQ(v, group.front()) << v.to_string();
+      EXPECT_EQ(v.hash(), group.front().hash()) << v.to_string();
+    }
+  }
+  EXPECT_TRUE(shrunk.is_inline());
+  EXPECT_FALSE(promotedMax.is_inline());
+  // Distinct values in either form land on distinct hashes here.
+  EXPECT_NE(BigInt(1).hash(), BigInt(2).hash());
+  EXPECT_NE(bigProduct.hash(), (-bigProduct).hash());
+  EXPECT_NE(promotedMax.hash(), (promotedMax + BigInt(1)).hash());
 }
 
 TEST(BigIntRepr, AddOverflowPromotesAtExactEdge) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "smt/common.h"
 
@@ -147,6 +148,31 @@ TEST(Rational, FootprintCountsNoPhantomLimbs) {
   Rational big(BigInt::from_string("170141183460469231731687303715884105728"),
                BigInt(3));
   EXPECT_GT(big.footprint_bytes(), 0u);
+}
+
+TEST(Rational, EqualValuesHashEqualHoweverBuilt) {
+  // Fractions are canonicalised on construction, so unreduced inputs,
+  // parsed decimals and arithmetic results hash like the reduced value —
+  // with inline and limb-sized numerators and denominators alike.
+  const BigInt two70 = BigInt::from_string("1180591620717411303424");
+  const std::vector<std::vector<Rational>> groups = {
+      {Rational(1, 2), Rational(2, 4), Rational(-3, -6),
+       Rational::from_string("0.5"), Rational(1, 3) + Rational(1, 6)},
+      {Rational(2, 3), Rational(-6, -9), Rational(BigInt(4) * two70,
+                                                 BigInt(6) * two70)},
+      {Rational(-7), Rational(14, -2), Rational::from_string("-7")},
+      {Rational(two70), Rational(two70 * BigInt(3), BigInt(3)),
+       Rational::from_string("1180591620717411303424")},
+      {Rational(BigInt(1), two70), Rational(BigInt(5), two70 * BigInt(5))},
+  };
+  for (const auto& group : groups) {
+    for (const Rational& v : group) {
+      EXPECT_EQ(v, group.front()) << v.to_string();
+      EXPECT_EQ(v.hash(), group.front().hash()) << v.to_string();
+    }
+  }
+  EXPECT_NE(Rational(1, 2).hash(), Rational(2, 1).hash());
+  EXPECT_NE(Rational(1, 2).hash(), Rational(-1, 2).hash());
 }
 
 TEST(DeltaRational, FusedAddMulSubMul) {

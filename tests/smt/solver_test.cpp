@@ -401,6 +401,70 @@ TEST(SmtSolver, StatsSinceIsolatesEachSolve) {
   EXPECT_GT(total.exact_recomputes, 0u);
 }
 
+TEST(SmtSolver, CountersSnapshotDiffsLikeAFullSnapshot) {
+  Solver s;
+  auto& t = s.terms();
+  TVar x = s.mk_real("x");
+  TVar y = s.mk_real("y");
+  TermRef a = s.mk_bool("a");
+  s.assert_term(t.mk_or(
+      {t.mk_and({a, t.mk_ge(LinExpr::var(x), Rational(3))}),
+       t.mk_and({~a, t.mk_le(LinExpr::var(x), Rational(-3))})}));
+  s.assert_term(t.mk_ge(LinExpr::var(x) + LinExpr::var(y), Rational(1)));
+  EXPECT_EQ(s.solve(), SolveResult::Sat);
+
+  const SolverStats full = s.stats();
+  const SolverStats counters = s.counters();
+  // The counters-only snapshot leaves every gauge at zero...
+  EXPECT_EQ(counters.num_terms, 0u);
+  EXPECT_EQ(counters.num_atoms, 0u);
+  EXPECT_EQ(counters.num_bool_vars, 0u);
+  EXPECT_EQ(counters.num_real_vars, 0u);
+  EXPECT_EQ(counters.footprint_bytes, 0u);
+  EXPECT_EQ(counters.arena_capacity_bytes, 0u);
+  EXPECT_EQ(counters.arena_live_bytes, 0u);
+  // ...and since() reads the same per-call report off either snapshot.
+  s.push();
+  s.assert_term(t.mk_ge(LinExpr::var(y), Rational(5)));
+  EXPECT_EQ(s.solve(), SolveResult::Sat);
+  s.pop();
+  const SolverStats now = s.stats();
+  const SolverStats a1 = now.since(full);
+  const SolverStats a2 = now.since(counters);
+  EXPECT_EQ(a1.sat.decisions, a2.sat.decisions);
+  EXPECT_EQ(a1.sat.propagations, a2.sat.propagations);
+  EXPECT_EQ(a1.sat.conflicts, a2.sat.conflicts);
+  EXPECT_EQ(a1.sat.restarts, a2.sat.restarts);
+  EXPECT_EQ(a1.sat.learned_clauses, a2.sat.learned_clauses);
+  EXPECT_EQ(a1.sat.deleted_clauses, a2.sat.deleted_clauses);
+  EXPECT_EQ(a1.sat.theory_checks, a2.sat.theory_checks);
+  EXPECT_EQ(a1.sat.theory_conflicts, a2.sat.theory_conflicts);
+  EXPECT_EQ(a1.sat.theory_propagations, a2.sat.theory_propagations);
+  EXPECT_EQ(a1.sat.arena_gcs, a2.sat.arena_gcs);
+  EXPECT_EQ(a1.sat.chrono_backtracks, a2.sat.chrono_backtracks);
+  EXPECT_EQ(a1.sat.lrb_selections, a2.sat.lrb_selections);
+  EXPECT_EQ(a1.pivots, a2.pivots);
+  EXPECT_EQ(a1.bound_flips, a2.bound_flips);
+  EXPECT_EQ(a1.bland_fallbacks, a2.bland_fallbacks);
+  EXPECT_EQ(a1.bigint_promotions, a2.bigint_promotions);
+  EXPECT_EQ(a1.float_pivots, a2.float_pivots);
+  EXPECT_EQ(a1.exact_recomputes, a2.exact_recomputes);
+  EXPECT_EQ(a1.filter_disagreements, a2.filter_disagreements);
+  EXPECT_EQ(a1.filter_fallbacks, a2.filter_fallbacks);
+  EXPECT_EQ(a1.eta_updates, a2.eta_updates);
+  EXPECT_EQ(a1.refactorisations, a2.refactorisations);
+  EXPECT_EQ(a1.eta_file_len_max, a2.eta_file_len_max);
+  EXPECT_EQ(a1.num_terms, a2.num_terms);
+  EXPECT_EQ(a1.num_atoms, a2.num_atoms);
+  EXPECT_EQ(a1.num_bool_vars, a2.num_bool_vars);
+  EXPECT_EQ(a1.num_real_vars, a2.num_real_vars);
+  EXPECT_EQ(a1.footprint_bytes, a2.footprint_bytes);
+  EXPECT_EQ(a1.arena_capacity_bytes, a2.arena_capacity_bytes);
+  EXPECT_EQ(a1.arena_live_bytes, a2.arena_live_bytes);
+  EXPECT_GT(a2.sat.theory_checks, 0u);
+  EXPECT_GT(a2.footprint_bytes, 0u);
+}
+
 // Property: random systems of interval constraints with boolean selectors,
 // cross-checked against an exhaustive boolean enumeration + interval
 // reasoning oracle.

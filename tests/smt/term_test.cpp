@@ -121,6 +121,28 @@ TEST(TermManager, AtomNormalisationSharesSlacks) {
   EXPECT_EQ(ge, t.mk_ge(half, Rational(2)));
 }
 
+TEST(TermManager, AtomsHashByValueNotByConstruction) {
+  // Atom interning hashes the expression and bound by value: the same
+  // atom built from unreduced fractions, in another term order, or with a
+  // limb-sized coefficient is one node.
+  TermManager t;
+  TVar x = t.mk_real("x");
+  TVar y = t.mk_real("y");
+  const Rational big = Rational::from_string("36893488147419103232");  // 2^65
+  LinExpr e;  // x + 2^65/3 y
+  e.add_term(x, Rational(1));
+  e.add_term(y, big / Rational(3));
+  LinExpr f;  // same, built the other way round
+  f.add_term(y, (big * Rational(2)) / Rational(6));
+  f.add_term(x, Rational(4, 4));
+  EXPECT_EQ(e, f);
+  EXPECT_EQ(e.hash(), f.hash());
+  const std::size_t before = t.num_nodes();
+  const TermRef a = t.mk_le(e, Rational(1, 2));
+  EXPECT_EQ(t.mk_le(f, Rational(3, 6)), a);
+  EXPECT_EQ(t.num_nodes(), before + 1);
+}
+
 TEST(TermManager, ConstantAtomsFold) {
   TermManager t;
   LinExpr c(Rational(3));
