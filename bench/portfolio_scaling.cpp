@@ -1,8 +1,9 @@
 // portfolio_scaling: portfolio verification speedup vs. member count.
 //
-// For the IEEE 30- and 57-bus verification scenarios, runs the serial
-// verify() baseline and then one racing portfolio per member count: 1, 2,
-// 4 and 8 members (or the --threads list). Speedup is serial_ms /
+// For every scenario file in the data directory (data/*.scn, in name
+// order), runs the serial verify() baseline and then one racing portfolio
+// per member count: 1, 2, 4 and 8 members (or the --threads list), drawn
+// from runtime::default_portfolio's ladder. Speedup is serial_ms /
 // portfolio_ms for the same scenario. Every row solves a freshly encoded
 // model: portfolio clones copy their source's state, so racing the model
 // the serial row already solved would start from its learnt clauses.
@@ -32,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -226,14 +228,25 @@ int main(int argc, char** argv) {
     if (threadCounts.empty()) threadCounts = {8};
     return run_cube_mode(json, obs::Config{sink.get()}, only, threadCounts);
   }
-  const std::vector<std::string> scenarios = {"ieee30_verification",
-                                              "ieee57_verification"};
+  std::vector<std::string> scenarios;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dataDir, ec)) {
+    if (entry.path().extension() == ".scn") {
+      scenarios.push_back(entry.path().stem().string());
+    }
+  }
+  if (scenarios.empty()) {
+    std::fprintf(stderr, "error: no .scn files in %s\n", dataDir.c_str());
+    return 1;
+  }
+  std::sort(scenarios.begin(), scenarios.end());
   if (threadCounts.empty()) threadCounts = {1, 2, 4, 8};
 
   bench::header("Portfolio verification scaling",
                 "racing diversified members shortens wall time without "
                 "changing the verdict");
-  std::printf("%-22s %8s %10s %8s %8s %-18s\n", "scenario", "members", "ms",
+  std::printf("%-28s %8s %10s %8s %8s %-18s\n", "scenario", "members", "ms",
               "speedup", "verdict", "winner");
 
   for (const std::string& name : scenarios) {
@@ -248,7 +261,7 @@ int main(int argc, char** argv) {
 
     core::VerificationResult serial = model.verify(bench_budget());
     const double serialMs = serial.seconds * 1000.0;
-    std::printf("%-22s %8s %10.1f %8.2f %8s %-18s\n", name.c_str(), "serial",
+    std::printf("%-28s %8s %10.1f %8.2f %8s %-18s\n", name.c_str(), "serial",
                 serialMs, 1.0, verdict_name(serial.result), "serial");
     bench::JsonLine(json, "portfolio_scaling", name)
         .field("threads", std::uint64_t{0})
@@ -268,7 +281,7 @@ int main(int argc, char** argv) {
       const std::string winner =
           pr.winner >= 0 ? pr.members[static_cast<std::size_t>(pr.winner)].label
                          : "none";
-      std::printf("%-22s %8zu %10.1f %8.2f %8s %-18s\n", name.c_str(), n, ms,
+      std::printf("%-28s %8zu %10.1f %8.2f %8s %-18s\n", name.c_str(), n, ms,
                   ms > 0 ? serialMs / ms : 0.0, verdict_name(pr.result()),
                   winner.c_str());
       std::fflush(stdout);

@@ -67,14 +67,17 @@ else
   echo "== ci: trace smoke skipped (no python3) =="
 fi
 
-# Cube-and-conquer cross-check: the whole data/ suite once through the
-# warm serial service path and once through a 4-member cube-and-conquer
-# portfolio. Cubes partition the search space, so every scenario's verdict
-# must be bit-identical — a divergence here is a completeness bug in the
-# cube tree (a cube lost, double-counted, or misattributed), never a
-# tolerance issue.
+# Cube-and-conquer and racing cross-check: the whole data/ suite once
+# through the warm serial service path, once through a 4-member
+# cube-and-conquer portfolio and once through a 4-member racing portfolio
+# (the first four rungs of runtime::default_portfolio's ladder). Cubes
+# partition the search space and every racing member is sound and
+# complete, so every scenario's verdict must be bit-identical — a
+# divergence here is a completeness bug in the cube tree (a cube lost,
+# double-counted, or misattributed) or a racing member that answers
+# wrongly, never a tolerance issue.
 if command -v python3 >/dev/null 2>&1; then
-  echo "== ci: cube-and-conquer cross-check =="
+  echo "== ci: cube-and-conquer and racing cross-check =="
   runner=""
   for candidate in build/examples/batch_runner build/default/examples/batch_runner; do
     [ -x "${candidate}" ] && runner="${candidate}" && break
@@ -84,7 +87,9 @@ if command -v python3 >/dev/null 2>&1; then
     exit 1
   fi
   { "${runner}" --threads "${jobs}" data; echo "===SPLIT==="; \
-    "${runner}" --threads "${jobs}" --portfolio 4 --portfolio-mode cube data; } \
+    "${runner}" --threads "${jobs}" --portfolio 4 --portfolio-mode cube data; \
+    echo "===SPLIT==="; \
+    "${runner}" --threads "${jobs}" --portfolio 4 data; } \
     | python3 -c '
 import json, sys
 runs = [{}]
@@ -96,15 +101,17 @@ for line in sys.stdin:
     row = json.loads(line)
     assert "error" not in row, row
     runs[-1][row["scenario"]] = row["verdict"]
-serial, cube = runs
-assert serial and set(serial) == set(cube), "scenario sets diverged"
+serial, cube, race = runs
+assert serial and set(serial) == set(cube) == set(race), \
+    "scenario sets diverged"
 for name in sorted(serial):
-    assert serial[name] == cube[name], \
-        f"{name}: serial={serial[name]} cube={cube[name]}"
-print(f"ci: cube-and-conquer verdicts identical across {len(serial)} scenarios")
+    assert serial[name] == cube[name] == race[name], \
+        f"{name}: serial={serial[name]} cube={cube[name]} race={race[name]}"
+print(f"ci: cube-and-conquer and racing verdicts identical across "
+      f"{len(serial)} scenarios")
 '
 else
-  echo "== ci: cube-and-conquer cross-check skipped (no python3) =="
+  echo "== ci: cube-and-conquer and racing cross-check skipped (no python3) =="
 fi
 
 # Service smoke: pipe a 20-request mixed workload (verify, server-side

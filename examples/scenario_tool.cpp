@@ -9,12 +9,10 @@
 // `--no-screen` disables the LP-relaxation front-end (the screen that can
 // answer UNSAT without an SMT solve in verify mode, and the graph-seeded
 // candidate order in synthesize mode); verdicts are identical either way.
-// `--engine NAME` runs verify with a named structural engine preset
-// (runtime::engine_presets: baseline, lrb, chrono-64, ...). `--portfolio N`
-// verifies through an N-thread portfolio instead of one solver;
-// `--portfolio-mode race|cube` picks racing clones or cube-and-conquer.
-// Verdicts are identical across every engine and mode. A malformed count
-// (anything but a whole number in 0..4096) is a usage error (exit 2).
+// `--portfolio N` verifies through an N-thread portfolio instead of one
+// solver; `--portfolio-mode race|cube` picks racing clones or
+// cube-and-conquer. Verdicts are identical across every mode. A malformed
+// count (anything but a whole number in 0..4096) is a usage error (exit 2).
 // Scenario files live in data/ (see data/README for the format).
 #include <cstdio>
 #include <cstring>
@@ -34,7 +32,6 @@ using namespace psse;
 
 int main(int argc, char** argv) {
   std::string trace_path;
-  std::string engine_name;
   std::size_t portfolio = 0;
   bool portfolio_cube = false;
   bool screen = true;
@@ -54,9 +51,6 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(args[i], "--trace") == 0 &&
                  i + 1 < args.size()) {
         if (!take_value(i, trace_path)) ++i;
-      } else if (std::strcmp(args[i], "--engine") == 0 &&
-                 i + 1 < args.size()) {
-        if (!take_value(i, engine_name)) ++i;
       } else if (std::strcmp(args[i], "--portfolio") == 0 &&
                  i + 1 < args.size()) {
         std::string v;
@@ -90,8 +84,8 @@ int main(int argc, char** argv) {
   if (argc != 3) {
     std::fprintf(stderr,
                  "usage: %s verify|synthesize|print <scenario-file> "
-                 "[--trace FILE] [--no-screen] [--engine NAME] "
-                 "[--portfolio N] [--portfolio-mode race|cube]\n",
+                 "[--trace FILE] [--no-screen] [--portfolio N] "
+                 "[--portfolio-mode race|cube]\n",
                  argv[0]);
     return 2;
   }
@@ -122,19 +116,6 @@ int main(int argc, char** argv) {
 
   core::UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
   model.set_trace(trace);
-  if (!engine_name.empty()) {
-    runtime::PortfolioMember preset;
-    if (!runtime::engine_preset(engine_name, preset)) {
-      std::fprintf(stderr, "error: unknown engine '%s'; presets:",
-                   engine_name.c_str());
-      for (const runtime::PortfolioMember& p : runtime::engine_presets()) {
-        std::fprintf(stderr, " %s", p.label.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      return 2;
-    }
-    model.set_solver_options(preset.options);
-  }
   if (mode == "verify") {
     if (screen) {
       // LP-relaxation front-end: a provably infeasible relaxation means no
@@ -163,12 +144,6 @@ int main(int argc, char** argv) {
       popts.trace = trace;
       popts.mode = portfolio_cube ? runtime::PortfolioMode::kCubeAndConquer
                                   : runtime::PortfolioMode::kRace;
-      if (!engine_name.empty()) {
-        // A named engine narrows the portfolio to clones of that preset.
-        runtime::PortfolioMember preset;
-        (void)runtime::engine_preset(engine_name, preset);
-        popts.members.assign(portfolio, preset);
-      }
       runtime::PortfolioResult port = runtime::verify_portfolio(model, popts);
       r = std::move(port.verification);
       r.seconds = port.seconds;

@@ -376,8 +376,6 @@ VerificationResult UfdiAttackModel::run(
                static_cast<std::uint64_t>(out.stats.arena_capacity_bytes))
         .field("arena_live_bytes",
                static_cast<std::uint64_t>(out.stats.arena_live_bytes))
-        .field("chrono_backtracks", out.stats.sat.chrono_backtracks)
-        .field("lrb_selections", out.stats.sat.lrb_selections)
         .field("encode_us", out.phase_times.encode_us)
         .field("propagate_us", out.phase_times.propagate_us)
         .field("simplex_us", out.phase_times.simplex_us)

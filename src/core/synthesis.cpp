@@ -1,11 +1,7 @@
 #include "core/synthesis.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <memory>
-#include <mutex>
-#include <thread>
 
 #include "screen/defense_seeder.h"
 #include "smt/common.h"
@@ -31,8 +27,6 @@ SecurityArchitectureSynthesizer::SecurityArchitectureSynthesizer(
   for (BusId j : options_.must_secure) {
     PSSE_CHECK(j >= 0 && j < b, "SynthesisOptions: must_secure bus range");
   }
-  PSSE_CHECK(options_.parallel_candidates >= 1,
-             "SynthesisOptions: parallel_candidates must be >= 1");
 }
 
 void SecurityArchitectureSynthesizer::build_candidate_model(
@@ -196,7 +190,6 @@ std::vector<Lit> SecurityArchitectureSynthesizer::failure_blocking_clause(
 }
 
 SynthesisResult SecurityArchitectureSynthesizer::synthesize() {
-  if (options_.parallel_candidates > 1) return synthesize_parallel();
   SynthesisResult out;
   const auto start = std::chrono::steady_clock::now();
   auto elapsed = [&]() {
@@ -266,170 +259,6 @@ SynthesisResult SecurityArchitectureSynthesizer::synthesize() {
     }
     // Candidate fails: block it (and, by monotonicity, all its subsets).
     candidates.add_clause(failure_blocking_clause(sb, S, v));
-  }
-  out.seconds = elapsed();
-  out.candidate_footprint_bytes = candidates.footprint_bytes();
-  if (options_.trace.enabled()) {
-    obs::Event("cegis_done")
-        .field("status", SynthesisResult::status_name(out.status))
-        .field("candidates_tried", out.candidates_tried)
-        .field("seconds", out.seconds)
-        .field_raw("architecture", obs::json_int_array(out.secured_buses))
-        .emit(options_.trace);
-  }
-  return out;
-}
-
-SynthesisResult SecurityArchitectureSynthesizer::synthesize_parallel() {
-  SynthesisResult out;
-  const auto start = std::chrono::steady_clock::now();
-  auto elapsed = [&]() {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-  };
-  auto remaining_ms = [&]() {
-    return std::chrono::milliseconds(static_cast<long>(
-        1000 * std::max(0.1, options_.time_limit_seconds - elapsed())));
-  };
-
-  SatSolver candidates;
-  std::vector<Var> sb;
-  build_candidate_model(candidates, sb, options_.max_secured_buses);
-  const int b = attackModel_.grid().num_buses();
-  const std::size_t slots =
-      static_cast<std::size_t>(options_.parallel_candidates);
-  // Seeds are evaluated serially up front (they are few and usually
-  // decisive); the parallel machinery only spins up for the model loop.
-  bool done = try_seeds(candidates, sb, elapsed, out);
-
-  // One attack-model clone per evaluation slot, built up front and reused
-  // every round. A clone is a copy of the model's current state, so the
-  // workers start with whatever the seeds (or earlier calls) learnt.
-  std::vector<std::unique_ptr<UfdiAttackModel>> workers;
-  if (!done) {
-    workers.reserve(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-      workers.push_back(attackModel_.clone());
-    }
-  }
-
-  while (!done) {
-    if (options_.time_limit_seconds > 0 &&
-        elapsed() > options_.time_limit_seconds) {
-      out.status = SynthesisResult::Status::Timeout;
-      break;
-    }
-
-    // --- Enumerate up to `slots` distinct candidates from the shared
-    // candidate model. Each is exact-blocked immediately so the next solve
-    // yields a different one; failed candidates get their (stronger)
-    // failure clause after verification, which subsumes the exact block.
-    std::vector<std::vector<BusId>> batch;
-    std::vector<smt::SatStats> batchCandEffort;
-    bool candUnsat = false;
-    bool candUnknown = false;
-    while (batch.size() < slots) {
-      smt::Budget candBudget;
-      if (options_.time_limit_seconds > 0) candBudget.max_time = remaining_ms();
-      const smt::SatStats candBefore = candidates.stats();
-      smt::SolveResult cr = candidates.solve({}, candBudget);
-      batchCandEffort.push_back(candidates.stats_since(candBefore));
-      if (cr == smt::SolveResult::Unknown) {
-        candUnknown = true;
-        break;
-      }
-      if (cr == smt::SolveResult::Unsat) {
-        candUnsat = true;
-        break;
-      }
-      std::vector<BusId> S;
-      std::vector<Lit> exactBlock;
-      for (BusId j = 0; j < b; ++j) {
-        bool in = candidates.model_value(sb[static_cast<std::size_t>(j)]);
-        if (in) S.push_back(j);
-        exactBlock.push_back(in ? Lit::neg(sb[static_cast<std::size_t>(j)])
-                                : Lit::pos(sb[static_cast<std::size_t>(j)]));
-      }
-      candidates.add_clause(std::move(exactBlock));
-      batch.push_back(std::move(S));
-    }
-    if (batch.empty()) {
-      out.status = candUnsat ? SynthesisResult::Status::NoArchitecture
-                             : SynthesisResult::Status::Timeout;
-      break;
-    }
-
-    // --- Evaluate the batch concurrently, one clone per candidate. The
-    // first UNSAT (architecture works) raises the stop token so sibling
-    // verifications abandon their search promptly; failure clauses are
-    // merged under the mutex as workers finish.
-    std::atomic<bool> stop{false};
-    std::mutex mergeMu;
-    std::vector<VerificationResult> results(batch.size());
-    std::vector<std::vector<Lit>> learnedBlocks;
-    std::vector<std::thread> threads;
-    threads.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      threads.emplace_back([&, i] {
-        smt::Budget vb = options_.verification_budget;
-        if (options_.time_limit_seconds > 0) {
-          auto rem = remaining_ms();
-          if (vb.max_time.count() == 0 || vb.max_time > rem) {
-            vb.max_time = rem;
-          }
-        }
-        vb.stop = &stop;
-        VerificationResult v =
-            workers[i]->verify_with_secured_buses(batch[i], vb);
-        std::lock_guard<std::mutex> lock(mergeMu);
-        if (v.result == smt::SolveResult::Unsat) {
-          stop.store(true, std::memory_order_relaxed);
-        } else if (v.result == smt::SolveResult::Sat) {
-          learnedBlocks.push_back(failure_blocking_clause(sb, batch[i], v));
-        }
-        results[i] = std::move(v);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    // Journal in candidate order (not completion order), so serial and
-    // parallel traces of the same run read the same way.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      trace_iteration(out.candidates_tried + static_cast<int>(i) + 1,
-                      batch[i], results[i], batchCandEffort[i]);
-    }
-    out.candidates_tried += static_cast<int>(batch.size());
-    for (std::vector<Lit>& cl : learnedBlocks) {
-      candidates.add_clause(std::move(cl));
-    }
-
-    // Lowest-index success wins (ties between concurrent successes resolve
-    // by candidate order, not completion order).
-    bool found = false;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (results[i].result == smt::SolveResult::Unsat) {
-        out.status = SynthesisResult::Status::Found;
-        out.secured_buses = std::move(batch[i]);
-        found = true;
-        break;
-      }
-    }
-    if (found) break;
-    // With no success, stop was never raised, so an Unknown is a genuine
-    // budget exhaustion — the serial loop reports Timeout there too.
-    bool exhausted = false;
-    for (const VerificationResult& v : results) {
-      if (v.result == smt::SolveResult::Unknown) exhausted = true;
-    }
-    if (exhausted || candUnknown) {
-      out.status = SynthesisResult::Status::Timeout;
-      break;
-    }
-    if (candUnsat) {
-      // Every remaining candidate was refuted this round.
-      out.status = SynthesisResult::Status::NoArchitecture;
-      break;
-    }
   }
   out.seconds = elapsed();
   out.candidate_footprint_bytes = candidates.footprint_bytes();

@@ -57,16 +57,6 @@ struct SynthesisOptions {
   smt::Budget verification_budget;
   /// Wall-clock ceiling for the whole synthesis; 0 = unlimited.
   double time_limit_seconds = 0.0;
-  /// Evaluate up to this many candidate architectures concurrently (the
-  /// parallel CEGIS path); 1 = the serial loop. Each round enumerates K
-  /// distinct candidates from the shared candidate model, verifies them on
-  /// per-thread clones of the attack model, and merges the resulting
-  /// counterexample-blocking clauses back under a mutex. The first
-  /// successful candidate cancels its siblings via the stop token.
-  /// Parallel and serial runs agree on the outcome status — and any found
-  /// architecture blocks every attack of the model — but they may return
-  /// different, equally valid, architectures.
-  int parallel_candidates = 1;
   /// Structured tracing of the CEGIS loop: one "cegis_iter" event per
   /// candidate (bus set, verdict, blocking-clause kind, wall time,
   /// per-candidate solver effort) and a final "cegis_done" event. Off by
@@ -140,7 +130,6 @@ class SecurityArchitectureSynthesizer {
                  const std::vector<smt::Var>& sbVars,
                  const std::function<double()>& elapsed,
                  SynthesisResult& out);
-  [[nodiscard]] SynthesisResult synthesize_parallel();
 
   UfdiAttackModel& attackModel_;
   SynthesisOptions options_;

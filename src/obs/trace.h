@@ -2,8 +2,8 @@
 //
 // A TraceSink owns one output (a file or an adopted FILE*) and serialises
 // whole lines under a mutex, so concurrent emitters — portfolio members,
-// parallel CEGIS workers, batch_runner jobs — interleave per event, never
-// mid-line. Every event is one flat JSON object carrying at least:
+// cube workers, batch_runner jobs — interleave per event, never mid-line.
+// Every event is one flat JSON object carrying at least:
 //
 //   {"ev":"<kind>","t_us":<monotonic microseconds>, ...}
 //

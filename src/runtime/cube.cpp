@@ -9,14 +9,9 @@ namespace psse::runtime {
 using smt::TermRef;
 
 CubeSet split_cubes(const core::UfdiAttackModel& model,
-                    const CubeOptions& options) {
-  return split_cubes(model.clone(), options, smt::Budget{});
-}
-
-CubeSet split_cubes(std::unique_ptr<core::UfdiAttackModel> model,
                     const CubeOptions& options, const smt::Budget& budget) {
   CubeSet out;
-  out.prober = std::move(model);
+  out.prober = model.clone();
   core::UfdiAttackModel& prober = *out.prober;
   std::vector<TermRef> candidates = prober.cube_candidate_terms();
 

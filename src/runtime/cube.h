@@ -77,19 +77,15 @@ struct CubeSet {
 };
 
 /// Splits `model`'s instance on its topology-poisoning terms by bounded
-/// lookahead. The burn-in and the probes run on a clone (returned as
+/// lookahead. The burn-in and the probes run on a clone (returned, warm, as
 /// CubeSet::prober), so `model` itself is only read. TermRefs are stable
 /// across clones (a clone is a copy), so the returned cubes are valid
-/// assumption lists for any clone of `model` or of the prober.
+/// assumption lists for any clone of `model` or of the prober. The burn-in
+/// runs under `budget`'s deadline and stop token (its conflict limit is
+/// options.burnin_conflicts); if either fires during the burn-in, the split
+/// returns no cubes.
 [[nodiscard]] CubeSet split_cubes(const core::UfdiAttackModel& model,
-                                  const CubeOptions& options = {});
-
-/// Splits on `model` itself — configure its engine before the call — and
-/// returns it, warm, as CubeSet::prober. The burn-in runs under `budget`'s
-/// deadline and stop token (its conflict limit is options.burnin_conflicts);
-/// if either fires during the burn-in, the split returns no cubes.
-[[nodiscard]] CubeSet split_cubes(
-    std::unique_ptr<core::UfdiAttackModel> model, const CubeOptions& options,
-    const smt::Budget& budget);
+                                  const CubeOptions& options = {},
+                                  const smt::Budget& budget = {});
 
 }  // namespace psse::runtime

@@ -12,113 +12,56 @@
 
 namespace psse::runtime {
 
-std::vector<PortfolioMember> engine_presets() {
-  using smt::BranchingHeuristic;
-  using smt::RestartSchedule;
-  using smt::SatOptions;
-  std::vector<PortfolioMember> presets;
-  presets.reserve(8);
-  // Preset 0 must stay the default engine: tools resolve --engine baseline
-  // to the serial search.
-  presets.push_back({"baseline", {}});
-  {
-    SatOptions o;
-    o.engine.branching = BranchingHeuristic::kLrb;
-    presets.push_back({"lrb", o});
-  }
-  {
-    SatOptions o;
-    o.engine.cb_limit = 64;
-    presets.push_back({"chrono-64", o});
-  }
-  {
-    SatOptions o;
-    o.engine.restart = RestartSchedule::kGlucoseEma;
-    o.restart_base = 50;
-    presets.push_back({"ema-restarts", o});
-  }
-  {
-    SatOptions o;
-    o.engine.restart = RestartSchedule::kGeometric;
-    o.engine.geometric_factor = 1.3;
-    presets.push_back({"geometric-restarts", o});
-  }
-  {
-    SatOptions o;
-    o.engine.branching = BranchingHeuristic::kLrb;
-    o.engine.cb_limit = 64;
-    o.default_phase = true;
-    presets.push_back({"lrb-chrono-pos", o});
-  }
-  {
-    SatOptions o;
-    o.engine.cb_limit = 16;
-    o.engine.restart = RestartSchedule::kGeometric;
-    o.var_decay = 0.90;
-    presets.push_back({"chrono-geometric", o});
-  }
-  {
-    SatOptions o;
-    o.engine.branching = BranchingHeuristic::kLrb;
-    o.engine.restart = RestartSchedule::kGlucoseEma;
-    presets.push_back({"lrb-ema", o});
-  }
-  return presets;
-}
-
-bool engine_preset(const std::string& name, PortfolioMember& out) {
-  for (PortfolioMember& p : engine_presets()) {
-    if (p.label == name) {
-      out = std::move(p);
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<PortfolioMember> default_portfolio(std::size_t n) {
   using smt::SatOptions;
-  std::vector<PortfolioMember> engines = engine_presets();
   std::vector<PortfolioMember> members;
   members.reserve(n);
-  auto add = [&](PortfolioMember m) {
-    if (members.size() < n) members.push_back(std::move(m));
+  auto add = [&](const char* label, const SatOptions& o) {
+    if (members.size() < n) members.push_back({label, o});
   };
   // Member 0 must stay the default configuration (serial-equivalence
-  // anchor for tests and for the deterministic mode). The ladder
-  // interleaves the structural engine presets with the historical
-  // seed/phase variants so small portfolios differ in search *shape*, not
-  // just in where the RNG sends near-identical searches.
-  add(engines[0]);  // baseline
-  add(engines[1]);  // lrb
-  add(engines[2]);  // chrono-64
+  // anchor for tests and for the deterministic mode).
+  add("baseline", {});
+  {
+    SatOptions o;
+    o.var_decay = 0.90;
+    o.restart_base = 50;
+    add("fast-decay", o);
+  }
+  {
+    SatOptions o;
+    o.theory_check_period = 2;
+    o.restart_base = 200;
+    add("lazy", o);
+  }
   {
     SatOptions o;
     o.default_phase = true;
     o.theory_check_period = 2;
     o.restart_base = 200;
-    add({"pos-lazy", o});
+    add("pos-lazy", o);
   }
-  add(engines[3]);  // ema-restarts
-  add(engines[4]);  // geometric-restarts
+  {
+    SatOptions o;
+    o.random_branch_permil = 50;
+    o.seed = 0x2545f4914f6cdd1dull;
+    add("random-5pct", o);
+  }
   {
     SatOptions o;
     o.random_branch_permil = 50;
     o.default_phase = true;
     o.seed = 0x9e3779b97f4a7c15ull;
-    add({"pos-random-5pct", o});
+    add("pos-random-5pct", o);
   }
-  add(engines[5]);  // lrb-chrono-pos
-  // Beyond the ladder: random-branching overlays of the engine presets
-  // with distinct seeds, so even deep portfolios keep structural variety.
+  // Beyond the ladder: random-branching overlays of baseline with distinct
+  // seeds, alternating the initial phase.
   for (std::size_t k = members.size(); k < n; ++k) {
-    PortfolioMember m = engines[k % engines.size()];
-    m.options.random_branch_permil =
-        30 + 8 * static_cast<std::uint32_t>(k % 8);
-    m.options.default_phase = (k & 1) != 0;
-    m.options.seed = 0x100000001b3ull * (k + 1) + 0xcbf29ce484222325ull;
-    m.label = "random-seed-" + std::to_string(k) + "-" + m.label;
-    members.push_back(std::move(m));
+    SatOptions o;
+    o.random_branch_permil = 30 + 8 * static_cast<std::uint32_t>(k % 8);
+    o.default_phase = (k & 1) != 0;
+    o.seed = 0x100000001b3ull * (k + 1) + 0xcbf29ce484222325ull;
+    members.push_back({"random-seed-" + std::to_string(k), o});
   }
   return members;
 }
@@ -175,8 +118,6 @@ void emit_member_event(const obs::Config& trace, std::uint64_t index,
       .field("conflicts", v.stats.sat.conflicts)
       .field("restarts", v.stats.sat.restarts)
       .field("pivots", v.stats.pivots)
-      .field("chrono_backtracks", v.stats.sat.chrono_backtracks)
-      .field("lrb_selections", v.stats.sat.lrb_selections)
       .emit(trace);
 }
 
@@ -214,8 +155,6 @@ void accumulate_stats(smt::SolverStats& acc, const smt::SolverStats& d) {
   acc.sat.theory_conflicts += d.sat.theory_conflicts;
   acc.sat.theory_propagations += d.sat.theory_propagations;
   acc.sat.arena_gcs += d.sat.arena_gcs;
-  acc.sat.chrono_backtracks += d.sat.chrono_backtracks;
-  acc.sat.lrb_selections += d.sat.lrb_selections;
   acc.pivots += d.pivots;
   acc.bound_flips += d.bound_flips;
   acc.bland_fallbacks += d.bland_fallbacks;
@@ -242,8 +181,7 @@ PortfolioResult race_portfolio(const core::UfdiAttackModel& model,
                                const Deadline& deadline) {
   const auto start = std::chrono::steady_clock::now();
   const std::vector<PortfolioMember> members =
-      options.members.empty() ? default_portfolio(options.num_threads)
-                              : options.members;
+      default_portfolio(options.num_threads);
   PSSE_CHECK(!members.empty(), "verify_portfolio: no portfolio members");
   const std::size_t n = members.size();
 
@@ -340,11 +278,9 @@ PortfolioResult race_portfolio(const core::UfdiAttackModel& model,
 // topology-poisoning literals, then fan cubes across the pool.
 //
 // Warm fork: the split's burn-in solve runs on a prober — a clone of the
-// caller's model, configured with members[0] when the caller names
-// members — and every conquer worker starts as a copy of that prober, with
-// the burn-in's learnt clauses, activities and saved phases. Workers keep
-// the prober's engine: switching engines (set_solver_options) resets the
-// saved phases the fork carries.
+// caller's model, with the model's solver options — and every conquer
+// worker starts as a copy of that prober, with the burn-in's learnt
+// clauses, activities and saved phases.
 //
 // Scheduling: min(num_threads, cubes, hardware threads) workers, each
 // cloning the prober ONCE and pulling cube indices from a shared counter —
@@ -379,14 +315,10 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
     }
   };
 
-  std::unique_ptr<core::UfdiAttackModel> prober = model.clone();
-  if (!options.members.empty()) {
-    prober->set_solver_options(options.members[0].options);
-  }
   CubeSet cubes;
   smt::Budget burnin = options.budget;
   if (deadline.clip(burnin)) {
-    cubes = split_cubes(std::move(prober), options.cube, burnin);
+    cubes = split_cubes(model, options.cube, burnin);
   }
   if (cubes.refuted) {
     // The burn-in or the lookahead closed the instance on its own.
@@ -415,14 +347,12 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
       1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
   const std::size_t numWorkers = std::min(
       {options.num_threads > 0 ? options.num_threads : 1, numCubes, hw});
-  const std::string engine =
-      options.members.empty() ? "baseline" : options.members[0].label;
   const core::UfdiAttackModel& fork = *cubes.prober;
 
   out.cubes_generated = numCubes;
   out.members.resize(numCubes);
   for (std::size_t k = 0; k < numCubes; ++k) {
-    out.members[k].label = "cube-" + std::to_string(k) + "/" + engine;
+    out.members[k].label = "cube-" + std::to_string(k);
   }
 
   std::atomic<bool> raceStop{false};

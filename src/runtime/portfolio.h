@@ -5,9 +5,12 @@
 // Soundness: every member runs a sound and complete solver over the *same*
 // formula, so all definitive answers agree — racing changes which member
 // answers (and which concrete attack vector a SAT answer carries), never
-// the verdict. Diversification varies branching polarity, restart
-// schedule, VSIDS decay, random-branching rate/seed, and theory-propagation
-// aggressiveness (see smt::SatOptions).
+// the verdict. Members differ only in smt::SatOptions knobs: branching
+// polarity, restart unit, VSIDS decay, random-branching rate and seed, and
+// theory-check laziness. The CDCL search itself (EVSIDS, Luby restarts,
+// full backjumps) is the same for all of them: on every data/*.scn some
+// phase or seed variant beat every structural alternative (LRB branching,
+// chronological backtracking, geometric and LBD-EMA restarts).
 //
 // Determinism mode trades latency for reproducibility: members are not
 // cancelled on a sibling's success, and the winner is the lowest-indexed
@@ -35,25 +38,12 @@ struct PortfolioMember {
   smt::SatOptions options;
 };
 
-/// The standard diversification ladder. Member 0 is always the solver's
-/// default configuration, so a 1-member portfolio reproduces the serial
-/// verify() search exactly; the ladder interleaves the structural
-/// engine_presets() with the historical seed/phase variants, and members
-/// beyond it cycle through random-branching overlays of the presets with
-/// distinct seeds.
+/// The standard diversification ladder: baseline, fast-decay, lazy,
+/// pos-lazy, random-5pct, pos-random-5pct, then seeded random-branching
+/// overlays of baseline. Member 0 is always the solver's default
+/// configuration, so a 1-member portfolio reproduces the serial verify()
+/// search exactly.
 [[nodiscard]] std::vector<PortfolioMember> default_portfolio(std::size_t n);
-
-/// The named structural engine presets: configurations that differ in
-/// *search shape* (branching heuristic, backtracking style, restart
-/// schedule — smt::EngineConfig), not just in seed or polarity. Preset 0
-/// is always "baseline", the default engine. These seed the default
-/// portfolio mix, and tools expose them by name via --engine.
-[[nodiscard]] std::vector<PortfolioMember> engine_presets();
-
-/// Looks up an engine preset by label; returns false (and leaves `out`
-/// untouched) when no preset has that name.
-[[nodiscard]] bool engine_preset(const std::string& name,
-                                 PortfolioMember& out);
 
 /// How verify_portfolio spends its threads.
 enum class PortfolioMode {
@@ -68,7 +58,8 @@ enum class PortfolioMode {
 };
 
 struct PortfolioOptions {
-  /// Number of racing members (ignored when `members` is non-empty).
+  /// Racing members (the first num_threads of default_portfolio), or the
+  /// cube-and-conquer worker budget.
   std::size_t num_threads = 4;
   /// Reproducible winner selection (see file comment).
   bool deterministic = false;
@@ -79,10 +70,6 @@ struct PortfolioOptions {
   /// honoured (it cancels the whole portfolio); the internal first-winner
   /// cancellation is layered on top of it.
   smt::Budget budget;
-  /// Explicit member list; empty selects default_portfolio(num_threads).
-  /// Under kCubeAndConquer only members[0] is used: it configures the
-  /// prober before its burn-in, and every worker inherits that engine.
-  std::vector<PortfolioMember> members;
   /// Structured tracing: one "portfolio_member" event per member as it
   /// completes (including cancelled losers) and a closing "portfolio_done"
   /// event with winner attribution. The sink must outlive the call.
@@ -116,7 +103,7 @@ struct PortfolioResult {
   /// Wall-clock of the whole portfolio call.
   double seconds = 0.0;
   /// Under kRace: one entry per racing member. Under kCubeAndConquer: one
-  /// entry per *cube* (labelled "cube-K/engine"), including cubes
+  /// entry per *cube* (labelled "cube-K"), including cubes
   /// cancelled by a sibling's SAT short-circuit. A cube's stats are its own
   /// solve; the burn-in's effort is counted once, in the joint UNSAT stats.
   std::vector<PortfolioMemberOutcome> members;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "smt/common.h"
 
@@ -37,13 +36,7 @@ void SatSolver::set_options(const SatOptions& options) {
   PSSE_CHECK(options.theory_check_period > 0,
              "set_options: theory_check_period == 0");
   PSSE_CHECK(options.reduce_db_base > 0, "set_options: reduce_db_base == 0");
-  PSSE_CHECK(options.engine.geometric_factor > 1.0,
-             "set_options: geometric_factor <= 1");
-  PSSE_CHECK(options.engine.ema_margin > 1.0, "set_options: ema_margin <= 1");
-  PSSE_CHECK(options.engine.lrb_alpha_decay >= 0.0,
-             "set_options: lrb_alpha_decay < 0");
   options_ = options;
-  lrb_alpha_ = 0.4;
   rng_state_ = options.seed == 0 ? 0x9e3779b97f4a7c15ull : options.seed;
   // Saved phases are a pure heuristic; re-seeding them with the configured
   // polarity only affects variables not yet (re)assigned.
@@ -71,8 +64,6 @@ Var SatSolver::new_var() {
   watches_.emplace_back();
   card_occs_.emplace_back();
   card_occs_.emplace_back();
-  lrb_assigned_.push_back(0);
-  lrb_participated_.push_back(0);
   heap_index_.push_back(-1);
   heap_insert(v);
   return v;
@@ -217,11 +208,6 @@ bool SatSolver::enqueue(Lit l, Reason reason) {
   var_info_[static_cast<std::size_t>(x)] = {
       reason, decision_level(), static_cast<std::int32_t>(trail_.size())};
   phase_[static_cast<std::size_t>(x)] = !l.negated();
-  if (options_.engine.branching == BranchingHeuristic::kLrb) {
-    // Open this variable's LRB assignment interval.
-    lrb_assigned_[static_cast<std::size_t>(x)] = stats_.conflicts;
-    lrb_participated_[static_cast<std::size_t>(x)] = 0;
-  }
   trail_.push_back(l);
   return true;
 }
@@ -389,8 +375,6 @@ bool SatSolver::theory_check(bool final, std::vector<Lit>& confl) {
 
 void SatSolver::cancel_until(int level) {
   if (decision_level() <= level) return;
-  const bool lrbOn =
-      options_.engine.branching == BranchingHeuristic::kLrb;
   std::int32_t bound = trail_lim_[static_cast<std::size_t>(level)];
   std::int32_t minTheoryReason = -1;
   for (std::int32_t c = static_cast<std::int32_t>(trail_.size()) - 1;
@@ -416,29 +400,7 @@ void SatSolver::cancel_until(int level) {
     }
     assigns_[static_cast<std::size_t>(x)] = LBool::Undef;
     phase_[static_cast<std::size_t>(x)] = !p.negated();
-    if (lrbOn) {
-      // LRB scoring point: fold the learning rate (conflicts this variable
-      // helped analyze per conflict it sat assigned through) into its
-      // activity as an EMA, then restore heap order for the moved key.
-      const std::uint64_t interval =
-          stats_.conflicts - lrb_assigned_[static_cast<std::size_t>(x)];
-      if (interval > 0) {
-        const double rate =
-            static_cast<double>(lrb_participated_[static_cast<std::size_t>(x)]) /
-            static_cast<double>(interval);
-        double& act = activity_[static_cast<std::size_t>(x)];
-        act = (1.0 - lrb_alpha_) * act + lrb_alpha_ * rate;
-      }
-      const std::int32_t idx = heap_index_[static_cast<std::size_t>(x)];
-      if (idx >= 0) {
-        heap_up(static_cast<int>(idx));
-        heap_down(heap_index_[static_cast<std::size_t>(x)]);
-      } else {
-        heap_insert(x);
-      }
-    } else if (heap_index_[static_cast<std::size_t>(x)] < 0) {
-      heap_insert(x);
-    }
+    if (heap_index_[static_cast<std::size_t>(x)] < 0) heap_insert(x);
   }
   trail_.resize(static_cast<std::size_t>(bound));
   trail_lim_.resize(static_cast<std::size_t>(level));
@@ -624,13 +586,6 @@ void SatSolver::analyze(ClauseRef confl_clause,
 }
 
 void SatSolver::var_bump(Var v) {
-  if (options_.engine.branching == BranchingHeuristic::kLrb) {
-    // Under LRB a conflict-analysis appearance is *participation*, not an
-    // immediate activity bump: the rate is folded into the score when the
-    // variable is unassigned (cancel_until).
-    ++lrb_participated_[static_cast<std::size_t>(v)];
-    return;
-  }
   activity_[static_cast<std::size_t>(v)] += var_inc_;
   if (activity_[static_cast<std::size_t>(v)] > 1e100) {
     for (double& a : activity_) a *= 1e-100;
@@ -640,16 +595,7 @@ void SatSolver::var_bump(Var v) {
   if (idx >= 0) heap_up(idx);
 }
 
-void SatSolver::var_decay() {
-  if (options_.engine.branching == BranchingHeuristic::kLrb) {
-    // LRB's per-conflict step: anneal the EMA weight towards its floor so
-    // early noisy rates stop dominating mature scores.
-    lrb_alpha_ =
-        std::max(0.06, lrb_alpha_ - options_.engine.lrb_alpha_decay);
-    return;
-  }
-  var_inc_ /= options_.var_decay;
-}
+void SatSolver::var_decay() { var_inc_ /= options_.var_decay; }
 
 void SatSolver::clause_bump(ClauseRef r) {
   // Clause activities are packed floats; the increment stays a double and
@@ -680,9 +626,6 @@ Lit SatSolver::pick_branch() {
   while (!heap_empty()) {
     Var v = heap_pop();
     if (value(v) == LBool::Undef) {
-      if (options_.engine.branching == BranchingHeuristic::kLrb) {
-        ++stats_.lrb_selections;
-      }
       return Lit(v, !phase_[static_cast<std::size_t>(v)]);
     }
   }
@@ -846,61 +789,33 @@ SolveResult SatSolver::solve(const std::vector<Lit>& assumptions,
   auto interrupted = [&]() { return interrupt.triggered(); };
 
   rebuild_order_heap();
-  const EngineConfig& engine = options_.engine;
   std::uint64_t restartCount = 0;
   std::uint64_t conflictsUntilRestart =
       options_.restart_base * luby(restartCount);
   std::uint64_t conflictsSinceRestart = 0;
-  // kGeometric interval (grows by geometric_factor per restart) and the
-  // kGlucoseEma learnt-LBD averages. Dead state under kLuby.
-  double geomInterval = static_cast<double>(options_.restart_base);
-  double emaFast = 0.0;
-  double emaSlow = 0.0;
   std::uint32_t fixpointsSinceTheory = 0;
   std::vector<Lit> learnt;
   std::vector<Lit> theoryConfl;
 
   // Install a freshly learnt clause (from either conflict-analysis site) and
-  // assert its first literal, which analyze() made asserting at the current
-  // (post-backtrack) level. Returns the clause's LBD (1 for units) so the
-  // glucose-style restart schedule can track learnt quality.
-  auto learn_clause = [&](const std::vector<Lit>& lits) -> std::uint32_t {
+  // assert its first literal, which analyze() made asserting at the
+  // backjump level.
+  auto learn_clause = [&](const std::vector<Lit>& lits) {
     if (lits.size() == 1) {
       bool okEnq = enqueue(lits[0], Reason::none());
       PSSE_ASSERT(okEnq);
       // A learnt unit is a level-0 fact; remember its push depth so pop()
       // can replay it if its derivation survives.
       learnt_units_.push_back({lits[0], push_depth()});
-      return 1;
+      return;
     }
-    const std::uint32_t lbd = compute_lbd(lits);
-    ClauseRef r = alloc_clause(lits, /*learned=*/true, lbd, push_depth());
+    ClauseRef r = alloc_clause(lits, /*learned=*/true, compute_lbd(lits),
+                               push_depth());
     attach_clause(r);
     learned_refs_.push_back(r);
     ++stats_.learned_clauses;
     bool okEnq = enqueue(lits[0], Reason::clause(r));
     PSSE_ASSERT(okEnq);
-    return lbd;
-  };
-  auto note_learnt_lbd = [&](std::uint32_t lbd) {
-    if (engine.restart != RestartSchedule::kGlucoseEma) return;
-    emaFast += (static_cast<double>(lbd) - emaFast) / 32.0;
-    emaSlow += (static_cast<double>(lbd) - emaSlow) / 4096.0;
-  };
-  // Chronological backtracking: when the full backjump would discard more
-  // than cb_limit levels, retreat a single level instead. The learnt
-  // clause is still asserting there — analyze() leaves every non-first
-  // literal at or below btlevel, so only the asserting literal's variable
-  // is unassigned by the shallower backtrack. Unit learnts always take the
-  // full jump: they are level-0 facts and learnt_units_ records them as
-  // such. Only used when cb_limit > 0 (default: pure backjumping).
-  auto backtrack_level = [&](int btlevel, std::size_t learntSize) {
-    if (engine.cb_limit > 0 && learntSize > 1 &&
-        decision_level() - btlevel > static_cast<int>(engine.cb_limit)) {
-      ++stats_.chrono_backtracks;
-      return decision_level() - 1;
-    }
-    return btlevel;
   };
 
   for (;;) {
@@ -953,8 +868,8 @@ SolveResult SatSolver::solve(const std::vector<Lit>& assumptions,
       }
       int btlevel = 0;
       analyze(confl, conflLits, learnt, btlevel);
-      cancel_until(backtrack_level(btlevel, learnt.size()));
-      note_learnt_lbd(learn_clause(learnt));
+      cancel_until(btlevel);
+      learn_clause(learnt);
       var_decay();
       clause_inc_ /= 0.999;
 
@@ -966,39 +881,11 @@ SolveResult SatSolver::solve(const std::vector<Lit>& assumptions,
           options_.reduce_db_base + 2 * num_problem_clauses_ / 3) {
         reduce_db();
       }
-      bool restartNow = false;
-      switch (engine.restart) {
-        case RestartSchedule::kLuby:
-          restartNow = conflictsSinceRestart >= conflictsUntilRestart;
-          break;
-        case RestartSchedule::kGeometric:
-          restartNow = static_cast<double>(conflictsSinceRestart) >=
-                       geomInterval;
-          break;
-        case RestartSchedule::kGlucoseEma:
-          // Recent learnt clauses are markedly worse than the long-run
-          // average: restart. restart_base is the minimum conflict gap so
-          // the EMAs have data before the first comparison.
-          restartNow = conflictsSinceRestart >= options_.restart_base &&
-                       emaFast > engine.ema_margin * emaSlow;
-          break;
-      }
-      if (restartNow) {
+      if (conflictsSinceRestart >= conflictsUntilRestart) {
         ++stats_.restarts;
         ++restartCount;
         conflictsSinceRestart = 0;
-        switch (engine.restart) {
-          case RestartSchedule::kLuby:
-            conflictsUntilRestart = options_.restart_base * luby(restartCount);
-            break;
-          case RestartSchedule::kGeometric:
-            geomInterval *= engine.geometric_factor;
-            break;
-          case RestartSchedule::kGlucoseEma:
-            // Re-arm: only a fresh quality degradation triggers again.
-            emaFast = emaSlow;
-            break;
-        }
+        conflictsUntilRestart = options_.restart_base * luby(restartCount);
         const int restartLevel =
             static_cast<int>(assumptions.size()) <= decision_level()
                 ? static_cast<int>(assumptions.size())
@@ -1061,8 +948,8 @@ SolveResult SatSolver::solve(const std::vector<Lit>& assumptions,
         ++stats_.conflicts;
         int btlevel = 0;
         analyze(kExplicitConflictRef, theoryConfl, learnt, btlevel);
-        cancel_until(backtrack_level(btlevel, learnt.size()));
-        note_learnt_lbd(learn_clause(learnt));
+        cancel_until(btlevel);
+        learn_clause(learnt);
         continue;
       }
       // An interrupted theory check may report "consistent" without having
@@ -1185,8 +1072,6 @@ void SatSolver::pop() {
   var_info_.assign(static_cast<std::size_t>(sp.num_vars), {});
   phase_.resize(static_cast<std::size_t>(sp.num_vars));
   activity_.resize(static_cast<std::size_t>(sp.num_vars));
-  lrb_assigned_.assign(static_cast<std::size_t>(sp.num_vars), 0);
-  lrb_participated_.assign(static_cast<std::size_t>(sp.num_vars), 0);
   seen_.assign(static_cast<std::size_t>(sp.num_vars), false);
   watches_.assign(static_cast<std::size_t>(2 * sp.num_vars), {});
   card_occs_.assign(static_cast<std::size_t>(2 * sp.num_vars), {});

@@ -9,6 +9,12 @@
 // retention, and counter-based AtMost-K constraints with lazily
 // reconstructed reasons (no exponential CNF encodings).
 //
+// The search policy itself is fixed: EVSIDS branching, Luby restarts and
+// full non-chronological backjumps. SatOptions tunes it (initial phase,
+// decay, restart unit, random branching and its seed, theory-check
+// period), and the racing portfolio draws its members from those knobs
+// alone (DESIGN.md §6j says why there are no structural alternatives).
+//
 // Clause storage (MiniSat/CaDiCaL-style arena): all clauses live in one
 // contiguous uint32 buffer. A clause is identified by a 32-bit word offset
 // (ClauseRef) and laid out as three header words — flags+size, LBD+push-
@@ -130,12 +136,6 @@ struct SatStats {
   /// only because the perfbench program still reads them.
   std::uint64_t clauses_exported = 0;
   std::uint64_t clauses_imported = 0;
-  /// Conflicts where the engine took a bounded one-level chronological
-  /// backtrack instead of the full backjump (EngineConfig::cb_limit).
-  std::uint64_t chrono_backtracks = 0;
-  /// Decisions picked by the LRB heuristic (EngineConfig::branching ==
-  /// kLrb); always 0 under the default EVSIDS branching.
-  std::uint64_t lrb_selections = 0;
 
   /// Field-wise difference against an earlier snapshot of the same solver:
   /// the cost of exactly the work done between the two reads.
@@ -151,60 +151,8 @@ struct SatStats {
     d.theory_conflicts = theory_conflicts - earlier.theory_conflicts;
     d.theory_propagations = theory_propagations - earlier.theory_propagations;
     d.arena_gcs = arena_gcs - earlier.arena_gcs;
-    d.chrono_backtracks = chrono_backtracks - earlier.chrono_backtracks;
-    d.lrb_selections = lrb_selections - earlier.lrb_selections;
     return d;
   }
-};
-
-/// Decision-variable selection policy (see EngineConfig).
-enum class BranchingHeuristic : std::uint8_t {
-  /// Exponential VSIDS over a binary activity heap — the historical
-  /// default; every existing configuration reproduces it exactly.
-  kEvsids,
-  /// Learning-rate branching (MapleSAT): a variable's score is an EMA of
-  /// its conflict-participation rate over its assignment intervals.
-  /// Reuses the same activity array and heap; scores are updated when the
-  /// variable is unassigned.
-  kLrb,
-};
-
-/// Restart scheduling policy (see EngineConfig).
-enum class RestartSchedule : std::uint8_t {
-  /// restart_base * luby(k) conflicts between restarts (the default).
-  kLuby,
-  /// Geometric: the interval starts at restart_base and grows by
-  /// geometric_factor at each restart.
-  kGeometric,
-  /// Glucose-style: restart when the fast LBD EMA exceeds ema_margin
-  /// times the slow one (the recent learnt clauses are getting worse),
-  /// with restart_base conflicts as the minimum gap.
-  kGlucoseEma,
-};
-
-/// The search-policy axes of the CDCL engine, factored out so portfolio
-/// members can differ *structurally* (branching heuristic, backtracking
-/// style, restart schedule) rather than only by seed and phase. The
-/// default EngineConfig is bit-identical to the historical search — the
-/// differential fuzz suite enforces count-for-count agreement with the
-/// reference solver — and every non-default axis stays sound and complete
-/// (same verdicts, different trajectories).
-struct EngineConfig {
-  BranchingHeuristic branching = BranchingHeuristic::kEvsids;
-  RestartSchedule restart = RestartSchedule::kLuby;
-  /// Chronological backtracking (Nadel & Ryvchin style, weak variant):
-  /// when a conflict's backjump would discard more than cb_limit decision
-  /// levels, backtrack a single level instead — the learnt clause is still
-  /// asserting there because every non-asserting literal sits at or below
-  /// the computed backjump level. 0 (the default) always backjumps fully.
-  std::uint32_t cb_limit = 0;
-  /// kGeometric: per-restart interval growth factor (> 1).
-  double geometric_factor = 1.1;
-  /// kGlucoseEma: restart when fast EMA > ema_margin * slow EMA (> 1).
-  double ema_margin = 1.15;
-  /// kLrb: per-conflict step by which the EMA weight alpha decays from
-  /// 0.4 towards its 0.06 floor.
-  double lrb_alpha_decay = 1e-5;
 };
 
 /// Search-heuristic configuration. The defaults reproduce the solver's
@@ -239,10 +187,6 @@ struct SatOptions {
   /// force frequent reduction + arena GC (stress testing); the default
   /// reproduces the historical threshold.
   std::uint32_t reduce_db_base = 8000;
-  /// Structural search-policy selection (branching / backtracking /
-  /// restarts). The default EngineConfig keeps the search bit-identical to
-  /// the historical solver.
-  EngineConfig engine;
 };
 
 class SatSolver {
@@ -303,11 +247,11 @@ class SatSolver {
   /// when the original solver's search trajectory must stay reproducible.
   [[nodiscard]] int probe_literal(Lit l);
 
-  /// Current branching activity of a variable (EVSIDS score, or the LRB
-  /// learning rate under BranchingHeuristic::kLrb). Comparable only within
-  /// one solver instance — rescaling makes absolute magnitudes meaningless
-  /// — but the *ranking* identifies the variables the search is actually
-  /// fighting over, which is what cube splitting needs.
+  /// Current branching activity of a variable (its EVSIDS score).
+  /// Comparable only within one solver instance — rescaling makes absolute
+  /// magnitudes meaningless — but the *ranking* identifies the variables
+  /// the search is actually fighting over, which is what cube splitting
+  /// needs.
   [[nodiscard]] double var_activity(Var v) const {
     return activity_[static_cast<std::size_t>(v)];
   }
@@ -515,15 +459,6 @@ class SatSolver {
 
   std::vector<Var> heap_;
   std::vector<std::int32_t> heap_index_;
-
-  // LRB state (engine.branching == kLrb only; the arrays stay empty-valued
-  // under EVSIDS): the global conflict count when each variable was
-  // assigned, its conflict-participation count since, and the EMA step.
-  // The learning rate participated/interval is folded into activity_ when
-  // the variable is unassigned, so the existing heap orders LRB scores.
-  std::vector<std::uint64_t> lrb_assigned_;
-  std::vector<std::uint32_t> lrb_participated_;
-  double lrb_alpha_ = 0.4;
 
   double var_inc_ = 1.0;
   double clause_inc_ = 1.0;

@@ -59,9 +59,8 @@ void Simplex::set_options(const SimplexOptions& options) {
   restore_all_betas();
   if (options_.eta_tableau && !options.eta_tableau) {
     // Leaving eta mode: the eager path assumes every exact row is current.
-    make_all_fresh();
+    make_all_fresh();  // empties every pending list
     etas_.clear();
-    for (Row& row : rows_) row.epoch = 0;  // pending emptied by the refresh
   }
   check_exact_fallback_ = false;
   options_ = options;
@@ -158,7 +157,6 @@ TVar Simplex::slack_for(const LinExpr& expr) {
   // ground truth refactorisation rebuilds from.
   row.orig_owner = s;
   row.orig = row.expr;
-  row.epoch = static_cast<std::uint32_t>(etas_.size());
   refresh_mirror(row);
   base_nnz_ += row.mirror.size();
   std::int32_t rowIdx = static_cast<std::int32_t>(rows_.size());
@@ -459,7 +457,6 @@ void Simplex::pivot(std::int32_t rowIdx, TVar entering) {
     ++eta_updates_;
     eta_file_len_max_ =
         std::max<std::uint64_t>(eta_file_len_max_, etas_.size());
-    row.epoch = static_cast<std::uint32_t>(etas_.size());
   }
 
   // Substitute `entering` in every dependent row's float mirror (identical
@@ -546,11 +543,7 @@ void Simplex::float_substitute(std::int32_t r, TVar entering,
 
 void Simplex::ensure_fresh(std::int32_t rowIdx) {
   Row& row = rows_[static_cast<std::size_t>(rowIdx)];
-  const std::uint32_t len = static_cast<std::uint32_t>(etas_.size());
-  if (row.pending.empty()) {
-    row.epoch = len;
-    return;
-  }
+  if (row.pending.empty()) return;
   obs::ScopedPhaseTimer timer(phases_ == nullptr ? nullptr
                                                  : &phases_->ftran_us);
   // Replay the pending eta entries in order; each one is exactly the
@@ -575,7 +568,6 @@ void Simplex::ensure_fresh(std::int32_t rowIdx) {
   }
   pending_total_ -= row.pending.size();
   row.pending.clear();
-  row.epoch = len;
   if (changed) {
     row.derive[0].valid = false;
     row.derive[1].valid = false;
@@ -628,7 +620,6 @@ void Simplex::refactorize() {
   // patterns. Betas and bounds are untouched — the dictionary a row set
   // presents is unique per basis, so nothing visible moves.
   for (Row& row : rows_) {
-    row.epoch = 0;
     row.pending.clear();
     refresh_mirror(row);
   }
@@ -998,12 +989,13 @@ bool Simplex::check() {
     return {exLow, exUp};
   };
 
-  for (std::uint64_t iter = 0;; ++iter) {
+  for (;;) {
     // Budgets used to be enforced only between SAT decisions, so one long
-    // pivot sequence could blow far past the wall-clock limit; poll here.
-    // maybe_infeasible_ stays set, so an aborted check redoes no bookkeeping
-    // it shouldn't.
-    if ((iter & 15) == 0 && interrupt_ != nullptr && interrupt_->triggered()) {
+    // pivot sequence could blow far past the wall-clock limit; poll before
+    // every pivot, because one pivot on a dense tableau can take hundreds
+    // of milliseconds. maybe_infeasible_ stays set, so an aborted check
+    // redoes no bookkeeping it shouldn't.
+    if (interrupt_ != nullptr && interrupt_->triggered()) {
       interrupted_dirty_ = true;
       return true;
     }

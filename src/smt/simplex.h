@@ -327,9 +327,8 @@ class Simplex {
   // on or off, which is what makes the lazy exact rows invisible to every
   // float-steered decision. cols_ tracks the mirror pattern.
   //
-  // `epoch` counts the eta-file entries already folded into expr; the row
-  // is current iff `pending` is empty (eager mode keeps every row at the
-  // file head). `pending` lists the eta-file indices whose substitution
+  // The row is current iff `pending` is empty (eager mode keeps every row
+  // current). `pending` lists the eta-file indices whose substitution
   // still has to be folded into expr — recorded at pivot time off the
   // dependents walk (the rows whose mirror then carried the entering
   // variable, a superset of the rows whose exact terms did), so a replay
@@ -349,7 +348,6 @@ class Simplex {
   // mirror change (refresh_mirror, float_substitute) clears both blockers.
   struct Row {
     TVar owner;
-    std::uint32_t epoch = 0;
     LinExpr expr;
     std::vector<std::pair<TVar, DoubleApprox>> mirror;
     std::vector<std::uint32_t> pending;
@@ -362,8 +360,8 @@ class Simplex {
 
   // One eta-file entry: at pivot time the solved pivot row (entered =
   // def, over the variables non-basic at that moment) is snapshotted.
-  // Replaying entries k..end in order onto a row at epoch k reproduces,
-  // bit for bit, the eager substitutions the PR 7 path would have done.
+  // Replaying a row's pending entries in order reproduces, bit for bit,
+  // the eager substitutions the eager path would have done.
   struct Eta {
     TVar entered;
     LinExpr def;
@@ -484,7 +482,7 @@ class Simplex {
   std::vector<TVar> col_vars_scratch_;
   // Scratch for float_substitute's mirror merge (recycles capacity).
   std::vector<std::pair<TVar, DoubleApprox>> mirror_scratch_;
-  // Eta file: pending pivot updates newer than some rows' epochs. Survives
+  // Eta file: pivot updates some rows may still have pending. Survives
   // pop_to (the tableau never rolls back; bounds live on the trail) and is
   // truncated only by refactorize().
   std::vector<Eta> etas_;

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <string>
 
+#include "core/scenario.h"
 #include "grid/ieee_cases.h"
 #include "smt/common.h"
 
@@ -414,6 +417,29 @@ TEST(AttackModel, BudgetReturnsUnknown) {
   EXPECT_FALSE(r.attack.has_value());
   // And a real budget still resolves it afterwards.
   EXPECT_NE(model.verify().result, smt::SolveResult::Unknown);
+}
+
+// A wall-clock budget must hold even where single simplex pivots are slow.
+// With positive initial phase, data/ieee30_verification.scn drives the
+// exact tableau dense enough that one pivot takes tens to hundreds of
+// milliseconds; a pivot loop that polled the deadline only every 16th
+// pivot returned seconds past a 300 ms budget. (Not labelled for the
+// sanitizer presets: their slowdown would stretch every pivot.)
+TEST(AttackModel, TimeBudgetHoldsThroughSlowPivots) {
+  const Scenario sc = Scenario::load(std::string(PSSE_DATA_DIR) +
+                                     "/ieee30_verification.scn");
+  UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
+  smt::SatOptions positive;
+  positive.default_phase = true;
+  model.set_solver_options(positive);
+  smt::Budget budget;
+  budget.max_time = std::chrono::milliseconds(300);
+  const auto start = std::chrono::steady_clock::now();
+  const VerificationResult r = model.verify(budget);
+  const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_NE(r.result, SolveResult::Unsat);  // the scenario is SAT
+  EXPECT_LT(took, 2 * budget.max_time);
 }
 
 TEST(AttackModel, DistinctChangeWithoutTargets) {

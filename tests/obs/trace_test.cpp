@@ -125,47 +125,6 @@ TEST(TraceGolden, CegisJournalReconstructsTheRun) {
   EXPECT_EQ(journalPivots, model.solver_stats().pivots - pivotsBefore);
 }
 
-TEST(TraceGolden, ParallelCegisJournalMatchesSerialSchema) {
-  const std::string path = temp_trace_path("cegis_ieee14_par.jsonl");
-  grid::Grid g = grid::cases::ieee14();
-  grid::MeasurementPlan plan = scenario_plan(g);
-  core::AttackSpec spec;
-  core::UfdiAttackModel model(g, plan, spec);
-
-  core::SynthesisResult r;
-  {
-    auto sink = obs::TraceSink::open(path);
-    core::SynthesisOptions opt;
-    opt.max_secured_buses = 5;
-    opt.must_secure = {0};
-    opt.time_limit_seconds = 300;
-    opt.parallel_candidates = 3;
-    opt.trace = {sink.get()};
-    core::SecurityArchitectureSynthesizer syn(model, opt);
-    r = syn.synthesize();
-  }
-  ASSERT_EQ(r.status, core::SynthesisResult::Status::Found);
-
-  int iters = 0;
-  int doneEvents = 0;
-  int prevIter = 0;
-  for (const std::string& line : read_lines(path)) {
-    ASSERT_TRUE(test_json::is_valid_json(line)) << line;
-    const std::string ev = field_of(line, "ev");
-    if (ev == "cegis_iter") {
-      ++iters;
-      // Candidate order, not completion order: iteration ids ascend.
-      const int iter = std::stoi(field_of(line, "iter"));
-      EXPECT_EQ(iter, prevIter + 1) << line;
-      prevIter = iter;
-    } else if (ev == "cegis_done") {
-      ++doneEvents;
-    }
-  }
-  EXPECT_EQ(iters, r.candidates_tried);
-  EXPECT_EQ(doneEvents, 1);
-}
-
 TEST(TraceGolden, VerifyEmitsOneSolveEventPerCall) {
   const std::string path = temp_trace_path("verify_ieee14.jsonl");
   grid::Grid g = grid::cases::ieee14();

@@ -1,7 +1,6 @@
-// Portfolio verification and parallel CEGIS agreement properties: the
-// verdict never depends on how many configurations race, deterministic
-// mode is reproducible across thread counts, and the parallel synthesis
-// path agrees with the serial loop.
+// Portfolio verification properties: the verdict never depends on how many
+// configurations race or how the instance is split into cubes, and
+// deterministic mode is reproducible across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +12,6 @@
 
 #include "core/attack_model.h"
 #include "core/scenario.h"
-#include "core/synthesis.h"
 #include "obs/trace.h"
 #include "runtime/cube.h"
 #include "runtime/portfolio.h"
@@ -46,7 +44,14 @@ TEST(Portfolio, LadderStartsAtBaselineAndExtends) {
   EXPECT_EQ(two[0].options.restart_base, smt::SatOptions{}.restart_base);
   auto many = runtime::default_portfolio(12);
   ASSERT_EQ(many.size(), 12u);
-  // Generated members beyond the built-in ladder get distinct seeds.
+  const char* ladder[] = {"baseline", "fast-decay",      "lazy",
+                          "pos-lazy", "random-5pct", "pos-random-5pct"};
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(many[i].label, ladder[i]);
+  // Generated members beyond the built-in ladder branch randomly, each
+  // with its own seed.
+  for (std::size_t i = 6; i < many.size(); ++i) {
+    EXPECT_GT(many[i].options.random_branch_permil, 0u) << i;
+  }
   EXPECT_NE(many[10].options.seed, many[11].options.seed);
 }
 
@@ -207,26 +212,6 @@ TEST(Portfolio, ExternalStopTokenCancelsTheRace) {
   runtime::PortfolioResult pr = runtime::verify_portfolio(model, opt);
   EXPECT_EQ(pr.winner, -1);
   EXPECT_EQ(pr.result(), smt::SolveResult::Unknown);
-}
-
-TEST(EnginePresets, LookupAndBaselineAnchor) {
-  const auto presets = runtime::engine_presets();
-  ASSERT_GE(presets.size(), 5u);
-  // Preset 0 anchors the default engine: tools resolve --engine baseline
-  // to exactly the serial search configuration.
-  EXPECT_EQ(presets[0].label, "baseline");
-  EXPECT_EQ(presets[0].options.engine.branching,
-            smt::SatOptions{}.engine.branching);
-  EXPECT_EQ(presets[0].options.engine.cb_limit,
-            smt::SatOptions{}.engine.cb_limit);
-  // Labels are unique and resolvable by name.
-  for (const auto& p : presets) {
-    runtime::PortfolioMember m;
-    ASSERT_TRUE(runtime::engine_preset(p.label, m)) << p.label;
-    EXPECT_EQ(m.label, p.label);
-  }
-  runtime::PortfolioMember m;
-  EXPECT_FALSE(runtime::engine_preset("no-such-engine", m));
 }
 
 TEST(CubeAndConquer, VerdictMatchesSerialOnAllScenarios) {
@@ -430,32 +415,6 @@ TEST(CubeAndConquer, DeterministicModeReportsLowestSatCube) {
     }
   }
   EXPECT_EQ(winners[0], winners[1]);
-}
-
-TEST(ParallelSynthesis, AgreesWithSerialOnIeee57) {
-  core::Scenario sc = load_scenario("ieee57_synthesis.scn");
-  core::UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
-  core::SynthesisOptions opt = sc.synthesis;
-  if (opt.max_secured_buses == 0) {
-    opt.max_secured_buses = sc.grid.num_buses();
-  }
-
-  core::SecurityArchitectureSynthesizer serial(model, opt);
-  core::SynthesisResult serialResult = serial.synthesize();
-
-  opt.parallel_candidates = 4;
-  core::SecurityArchitectureSynthesizer parallel(model, opt);
-  core::SynthesisResult parallelResult = parallel.synthesize();
-
-  ASSERT_EQ(serialResult.status, core::SynthesisResult::Status::Found);
-  EXPECT_EQ(parallelResult.status, serialResult.status);
-  EXPECT_LE(static_cast<int>(parallelResult.secured_buses.size()),
-            opt.max_secured_buses);
-  // The two paths may pick different architectures; what matters is that
-  // the parallel one actually blocks every attack of the model.
-  core::VerificationResult check =
-      model.verify_with_secured_buses(parallelResult.secured_buses);
-  EXPECT_EQ(check.result, smt::SolveResult::Unsat);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Tests for the CDCL core: propagation, learning, cardinality constraints,
-// assumptions, push/pop, and a brute-force cross-check property.
+// assumptions, push/pop, a brute-force cross-check property, and the
+// probe_literal lookahead the cube splitter builds on.
 #include "smt/sat_solver.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -362,6 +364,115 @@ TEST(SatSolver, PropertyRandom3SatAgainstBruteForce) {
         EXPECT_LE(pop, static_cast<int>(bound));
       }
     }
+  }
+}
+
+// Small random instances (clauses plus at most one cardinality
+// constraint) for the probing property below.
+struct Instance {
+  int num_vars = 0;
+  std::vector<std::vector<Lit>> clauses;
+  struct CardCon {
+    std::vector<Lit> lits;
+    std::uint32_t bound;
+    bool at_most;
+  };
+  std::vector<CardCon> cards;
+};
+
+void feed(SatSolver& s, const Instance& inst) {
+  for (int i = 0; i < inst.num_vars; ++i) s.new_var();
+  for (const auto& cl : inst.clauses) s.add_clause(cl);
+  for (const auto& c : inst.cards) {
+    if (c.at_most) {
+      s.add_at_most(c.lits, c.bound);
+    } else {
+      s.add_at_least(c.lits, c.bound);
+    }
+  }
+}
+
+Instance random_instance(std::mt19937_64& rng) {
+  Instance inst;
+  inst.num_vars = 6 + static_cast<int>(rng() % 7);  // 6..12
+  int m = inst.num_vars * (2 + static_cast<int>(rng() % 3));
+  for (int c = 0; c < m; ++c) {
+    std::vector<Lit> cl;
+    int len = 1 + static_cast<int>(rng() % 4);
+    for (int k = 0; k < len; ++k) {
+      cl.push_back(Lit(static_cast<Var>(rng() % inst.num_vars),
+                       (rng() & 1) != 0));
+    }
+    inst.clauses.push_back(std::move(cl));
+  }
+  if (rng() % 3 == 0) {
+    Instance::CardCon card;
+    int size = 3 + static_cast<int>(
+                       rng() % static_cast<std::uint64_t>(inst.num_vars - 2));
+    for (int k = 0; k < size; ++k) {
+      card.lits.push_back(Lit(static_cast<Var>(rng() % inst.num_vars),
+                              (rng() & 1) != 0));
+    }
+    card.bound = 1 + static_cast<std::uint32_t>(
+                         rng() % static_cast<std::uint64_t>(size - 1));
+    card.at_most = (rng() & 1) != 0;
+    inst.cards.push_back(std::move(card));
+  }
+  return inst;
+}
+
+// probe_literal is the cube splitter's lookahead: deterministic forced
+// counts, -1 on failed literals, 0 on already-true literals, and no
+// residue in the solver afterwards.
+TEST(ProbeLiteral, CountsForcedConsequencesWithoutResidue) {
+  SatSolver s;
+  Var a = s.new_var();
+  Var b = s.new_var();
+  Var c = s.new_var();
+  Var d = s.new_var();
+  s.add_clause({Lit::neg(a), Lit::pos(b)});   // a -> b
+  s.add_clause({Lit::neg(b), Lit::pos(c)});   // b -> c
+  s.add_clause({Lit::neg(a), Lit::neg(d)});   // a -> !d
+
+  // Probing a forces b, c and !d: three consequences beyond the probe.
+  EXPECT_EQ(s.probe_literal(Lit::pos(a)), 3);
+  // Probes are repeatable — nothing leaked into the assignment.
+  EXPECT_EQ(s.probe_literal(Lit::pos(a)), 3);
+  // The reverse direction forces nothing.
+  EXPECT_EQ(s.probe_literal(Lit::neg(c)), 2);  // !c -> !b -> !a
+  EXPECT_EQ(s.probe_literal(Lit::pos(d)), 1);  // d -> !a
+
+  // A failed literal: d && a conflicts, so after asserting d, probing a
+  // must report -1 while probing !a succeeds.
+  s.add_clause({Lit::pos(d)});
+  EXPECT_EQ(s.probe_literal(Lit::pos(a)), -1);
+  EXPECT_GE(s.probe_literal(Lit::neg(a)), 0);
+  // Already-true literals probe as 0 forced consequences.
+  EXPECT_EQ(s.probe_literal(Lit::pos(d)), 0);
+
+  // The solver is still fully usable and agrees with the obvious model.
+  EXPECT_EQ(s.solve(), SolveResult::Sat);
+  EXPECT_TRUE(s.model_value(d));
+  EXPECT_FALSE(s.model_value(a));
+}
+
+// Probing must not flip verdicts on random instances: interleave probes
+// with a final solve and compare against an unprobed twin.
+TEST(ProbeLiteral, ProbingNeverChangesTheVerdict) {
+  std::mt19937_64 rng(991188);
+  for (int iter = 0; iter < 40; ++iter) {
+    Instance inst = random_instance(rng);
+    SatSolver probed;
+    SatSolver clean;
+    feed(probed, inst);
+    feed(clean, inst);
+    for (int k = 0; k < 8; ++k) {
+      const Lit l = Lit(static_cast<Var>(rng() % inst.num_vars),
+                        (rng() & 1) != 0);
+      (void)probed.probe_literal(l);
+    }
+    EXPECT_EQ(probed.solve(), clean.solve()) << iter;
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "iter " << iter;
   }
 }
 
