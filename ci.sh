@@ -119,7 +119,10 @@ fi
 # every response line with an independent JSON parser. Catches protocol
 # regressions — escaping, response ordering, in-band errors — that the
 # unit tests' hand-built requests might miss, because the requests here
-# are generated from the shipped data/ scenarios.
+# are generated from the shipped data/ scenarios. The same stream runs at
+# one worker and at ${jobs}: each sweep is one ordered chain either way,
+# so every id must come back with the same verdict, and the T_CZ sweep's
+# last point must be answered by its T_CZ 5 witness without a solve.
 if command -v python3 >/dev/null 2>&1; then
   echo "== ci: analytics_server smoke =="
   server=""
@@ -131,7 +134,7 @@ if command -v python3 >/dev/null 2>&1; then
     echo "ci: analytics_server binary not found" >&2
     exit 1
   fi
-  python3 -c '
+  requests=$(python3 -c '
 import json, os
 reqs = []
 scns = sorted(f for f in os.listdir("data") if f.endswith(".scn"))
@@ -156,31 +159,53 @@ reqs.append({"op": "verify", "id": "inl",
 reqs.append({"op": "verify", "id": "bad", "scenario": "caze nope\n"})
 reqs.append({"op": "stats"})
 print("\n".join(json.dumps(r) for r in reqs))
-' | "${server}" --threads "${jobs}" | python3 -c '
-import json, os, sys
+')
+  one=$(printf '%s\n' "${requests}" | "${server}" --threads 1)
+  many=$(printf '%s\n' "${requests}" | "${server}" --threads "${jobs}")
+  ONE="${one}" MANY="${many}" JOBS="${jobs}" python3 -c '
+import json, os
 scns = [f for f in os.listdir("data") if f.endswith(".scn")]
-lines = [json.loads(l) for l in sys.stdin]   # every line must parse
-want = len(scns) + 12
-assert len(lines) == want, f"expected {want} response lines, got {len(lines)}"
-for l in lines:
-    json.dumps(l)  # and re-serialise
-    assert ("verdict" in l) or (l.get("ok") is False) or ("requests" in l), l
-errors = [l for l in lines if l.get("ok") is False]
-# The malformed scenario fails at parse time, before it has an id or
-# reaches the service: one in-band error line, id empty.
-assert len(errors) == 1 and errors[0]["id"] == "", errors
-sweep0 = {l["sweep_index"]: l["verdict"]
-          for l in lines if l.get("id", "").startswith("s0[")}
-assert sweep0 == {0: "unsat", 1: "unsat", 2: "sat", 3: "sat"}, sweep0
-rep = [l for l in lines if l.get("id") == "rep"]
-assert len(rep) == 1 and rep[0]["memo_hit"], rep
-# The file verifies, the repeat, the inline one and 2x4 sweep points
-# reached the service; the parse error did not.
-stats = lines[-1]
-assert stats["requests"] == len(scns) + 10 and stats["errors"] == 0, stats
-p99, hits = stats["solve_p99_us"], stats["session_hits"]
-print(f"ci: analytics_server {len(lines)} response lines OK "
-      f"(p99 solve {p99} us, session hits {hits})")
+
+def check(text, threads):
+    lines = [json.loads(l) for l in text.splitlines()]  # every line parses
+    want = len(scns) + 12
+    assert len(lines) == want, \
+        f"{threads} workers: expected {want} response lines, got {len(lines)}"
+    for l in lines:
+        json.dumps(l)  # and re-serialise
+        assert ("verdict" in l) or (l.get("ok") is False) or \
+            ("requests" in l), l
+    errors = [l for l in lines if l.get("ok") is False]
+    # The malformed scenario fails at parse time, before it has an id or
+    # reaches the service: one in-band error line, id empty.
+    assert len(errors) == 1 and errors[0]["id"] == "", errors
+    sweep0 = {l["sweep_index"]: l
+              for l in lines if l.get("id", "").startswith("s0[")}
+    verdicts = {k: l["verdict"] for k, l in sweep0.items()}
+    assert verdicts == {0: "unsat", 1: "unsat", 2: "sat", 3: "sat"}, verdicts
+    # T_CZ 5 (point 2) needs five meters, which fit under T_CZ 8.
+    assert sweep0[3]["implied"] and sweep0[3]["implied_by"] == 2, sweep0[3]
+    rep = [l for l in lines if l.get("id") == "rep"]
+    assert len(rep) == 1 and rep[0]["memo_hit"], rep
+    # The file verifies, the repeat, the inline one and 2x4 sweep points
+    # reached the service; the parse error did not.
+    stats = lines[-1]
+    assert stats["requests"] == len(scns) + 10 and stats["errors"] == 0, stats
+    assert stats["implied"] >= 1, stats
+    p99, hits, implied = (stats["solve_p99_us"], stats["session_hits"],
+                          stats["implied"])
+    print(f"ci: analytics_server at {threads} worker(s): {len(lines)} "
+          f"response lines OK (p99 solve {p99} us, session hits {hits}, "
+          f"implied {implied})")
+    return {l["id"]: l["verdict"] for l in lines if "verdict" in l}
+
+jobs = os.environ["JOBS"]
+one = check(os.environ["ONE"], 1)
+many = check(os.environ["MANY"], jobs)
+assert one == many, {k: (one[k], many.get(k)) for k in one
+                     if one[k] != many.get(k)}
+print(f"ci: analytics_server verdicts identical at 1 and {jobs} workers "
+      f"({len(one)} ids)")
 '
 else
   echo "== ci: analytics_server smoke skipped (no python3) =="

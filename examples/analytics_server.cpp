@@ -15,7 +15,16 @@
 // Responses come back one JSON line each, in *request order* (a printer
 // thread joins futures FIFO), while solves themselves run concurrently on
 // the service pool — so a cheap memoised query still waits for its turn on
-// stdout but never for a solver. EOF drains everything in flight; with
+// stdout but never for a solver. A sweep runs as one task that walks its
+// points in order on one session, so sweeps run in parallel with each
+// other but a sweep's own points do not. Each response carries "verdict",
+// "altered" (1-based meter ids of the witness), "session_hit",
+// "memo_hit", "screened" and "implied": true when an earlier point of the
+// same sweep settled this one without a solve — a SAT witness that fits
+// its caps and secured set, or a refutation of a point at most as
+// constrained — with "implied_by" naming that point's "sweep_index"; an
+// implied SAT returns the implying witness's meters. The stats line counts
+// implied points under "implied". EOF drains everything in flight; with
 // --stats-json a final service-stats line (p50/p95/p99 latencies, session
 // and memo hit rates) follows the last response, and with --trace FILE the
 // service journals per-request "service_request" events plus a closing

@@ -14,16 +14,9 @@ using smt::LinExpr;
 using smt::Rational;
 using smt::TermRef;
 
-namespace {
-
-/// Exact rational for a double admittance, rounded at 1e-6 — the grid data
-/// is decimal to begin with (Table II has two decimals), so this is exact
-/// in practice and keeps simplex coefficients small.
 Rational to_rational(double v) {
   return Rational(static_cast<std::int64_t>(std::llround(v * 1e6)), 1000000);
 }
-
-}  // namespace
 
 UfdiAttackModel::UfdiAttackModel(const grid::Grid& grid,
                                  const grid::MeasurementPlan& plan,

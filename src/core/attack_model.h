@@ -56,6 +56,13 @@ struct VerificationResult {
   }
 };
 
+/// Exact rational for a double admittance or magnitude threshold, rounded
+/// at 1e-6 — the grid data is decimal to begin with (Table II has two
+/// decimals), so this is exact in practice and keeps simplex coefficients
+/// small. Anything that compares a value against an encoded threshold must
+/// round it the same way.
+[[nodiscard]] smt::Rational to_rational(double v);
+
 /// How much of the spec the constructor encodes.
 enum class EncodeMode {
   /// Everything: structural constraints plus the spec's resource limits,

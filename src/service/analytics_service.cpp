@@ -4,8 +4,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <utility>
 
+#include "core/implication.h"
 #include "runtime/portfolio.h"
 #include "screen/lp_screen.h"
 
@@ -22,6 +24,38 @@ struct AnalyticsService::ScreenEntry {
   std::mutex mu;
   screen::LpScreen screen;
   std::unordered_map<std::uint64_t, screen::ScreenResult> verdicts;
+};
+
+/// One sweep in flight, touched only by the task walking it. expand_sweep
+/// varies only delta axes, so every point of a sweep shares one family: the
+/// first point that needs a solve leases a session and the rest reuse it,
+/// and any point's answer is a candidate to settle another. `answers` holds
+/// the points that were solved or screened Sat/Unsat, in sweep order — the
+/// only answers allowed to settle a later point.
+struct AnalyticsService::SweepChain {
+  struct Answer {
+    int index = -1;
+    core::ScenarioDelta delta;
+    std::optional<core::AttackVector> witness;  // present iff Sat
+  };
+
+  /// The earliest answer that settles `point`, or null.
+  [[nodiscard]] const Answer* implying(
+      const core::ScenarioDelta& point) const {
+    for (const Answer& a : answers) {
+      if (a.witness ? core::witness_implies(a.delta, *a.witness, point)
+                    : core::refutation_implies(a.delta, point)) {
+        return &a;
+      }
+    }
+    return nullptr;
+  }
+
+  /// False on the target axis: its points differ in goal, so none can
+  /// settle another.
+  bool carries = true;
+  std::optional<SolverSessionCache::Lease> lease;
+  std::vector<Answer> answers;
 };
 
 namespace {
@@ -95,18 +129,44 @@ std::future<ServiceResponse> AnalyticsService::submit(
       std::make_shared<ServiceRequest>(std::move(request));
   return pool_->submit([this, shared, enqueued,
                         token]() -> ServiceResponse {
-    return process(*shared, enqueued, token);
+    return process(*shared, enqueued, token, nullptr);
   });
 }
 
 std::vector<std::future<ServiceResponse>> AnalyticsService::submit_sweep(
     const SweepRequest& sweep) {
-  std::vector<ServiceRequest> points = expand_sweep(sweep);
+  auto points =
+      std::make_shared<std::vector<ServiceRequest>>(expand_sweep(sweep));
+  auto promises = std::make_shared<std::vector<std::promise<ServiceResponse>>>(
+      points->size());
   std::vector<std::future<ServiceResponse>> futures;
-  futures.reserve(points.size());
-  for (ServiceRequest& point : points) {
-    futures.push_back(submit(std::move(point)));
+  futures.reserve(points->size());
+  for (std::promise<ServiceResponse>& p : *promises) {
+    futures.push_back(p.get_future());
   }
+  const Clock::time_point enqueued = Clock::now();
+  runtime::CancellationToken token = cancel_token();
+  const bool carries = sweep.axis != SweepAxis::kTarget;
+  (void)pool_->submit([this, points, promises, enqueued, token, carries] {
+    SweepChain chain;
+    chain.carries = carries;
+    std::size_t k = 0;
+    try {
+      for (; k < points->size(); ++k) {
+        ServiceResponse resp = process((*points)[k], enqueued, token, &chain);
+        // Check the session back in before the last answer goes out, so a
+        // client that has every answer finds it idle.
+        if (k + 1 == points->size()) chain.lease.reset();
+        (*promises)[k].set_value(std::move(resp));
+      }
+    } catch (...) {
+      // Scenario and solve failures come back in-band; anything else
+      // (allocation failure) reaches every point not yet answered.
+      for (; k < points->size(); ++k) {
+        (*promises)[k].set_exception(std::current_exception());
+      }
+    }
+  });
   return futures;
 }
 
@@ -120,7 +180,7 @@ void AnalyticsService::cancel_all() {
 
 ServiceResponse AnalyticsService::process(
     const ServiceRequest& request, Clock::time_point enqueued,
-    runtime::CancellationToken cancel) {
+    const runtime::CancellationToken& cancel, SweepChain* chain) {
   const Clock::time_point started = Clock::now();
   ServiceResponse resp;
   resp.id = request.id;
@@ -180,7 +240,29 @@ ServiceResponse AnalyticsService::process(
       resp.screen_seconds = seconds_between(screen_start, Clock::now());
     }
 
-    if (!resp.memo_hit && !resp.screened) {
+    // Only solved and screened answers settle later points; a memo hit
+    // carries no witness to check, and after cancel_all the chain stops
+    // answering from earlier points.
+    const bool chained = chain != nullptr && chain->carries;
+    auto record = [&](std::optional<core::AttackVector> witness) {
+      if (!chained || resp.verdict == smt::SolveResult::Unknown) return;
+      chain->answers.push_back({resp.sweep_index, delta, std::move(witness)});
+    };
+    if (resp.screened) record(std::nullopt);
+    if (!resp.memo_hit && !resp.screened && chained && !cancel.cancelled()) {
+      if (const SweepChain::Answer* a = chain->implying(delta)) {
+        resp.implied = true;
+        resp.implied_by = a->index;
+        if (a->witness) {
+          resp.verdict = smt::SolveResult::Sat;
+          resp.altered_measurements = witness_measurements(*a->witness);
+        } else {
+          resp.verdict = smt::SolveResult::Unsat;
+        }
+      }
+    }
+
+    if (!resp.memo_hit && !resp.screened && !resp.implied) {
       smt::Budget budget;
       const double limit = request.time_limit_seconds > 0
                                ? request.time_limit_seconds
@@ -220,11 +302,19 @@ ServiceResponse AnalyticsService::process(
         resp.conflicts = port.verification.stats.sat.conflicts;
         resp.pivots = port.verification.stats.pivots;
       } else {
-        SolverSessionCache::Lease lease =
-            sessions_.acquire(resp.family, base);
-        resp.session_hit = lease.hit();
+        // A sweep holds its lease across points; a held session has
+        // answered an earlier point, so it is warm.
+        std::optional<SolverSessionCache::Lease> own;
+        std::optional<SolverSessionCache::Lease>& lease =
+            chain != nullptr ? chain->lease : own;
+        if (lease) {
+          resp.session_hit = true;
+        } else {
+          lease.emplace(sessions_.acquire(resp.family, base));
+          resp.session_hit = lease->hit();
+        }
         core::VerificationResult result =
-            lease.model().verify_delta(delta, budget);
+            lease->model().verify_delta(delta, budget);
         resp.verdict = result.result;
         if (result.attack) {
           resp.altered_measurements = witness_measurements(*result.attack);
@@ -232,11 +322,12 @@ ServiceResponse AnalyticsService::process(
         resp.decisions = result.stats.sat.decisions;
         resp.conflicts = result.stats.sat.conflicts;
         resp.pivots = result.stats.pivots;
+        record(std::move(result.attack));
       }
     }
 
-    // Screened verdicts are memoised too: an exact repeat then skips even
-    // the (cheap) screen lookup.
+    // Screened and implied verdicts are memoised too: an exact repeat then
+    // skips even the (cheap) screen lookup.
     if (!resp.memo_hit && request.use_memo && options_.memo_capacity > 0) {
       MemoEntry entry;
       entry.verdict = resp.verdict;
@@ -256,6 +347,7 @@ ServiceResponse AnalyticsService::process(
   total_hist_.record(us_between(enqueued, finished));
   ++requests_;
   if (resp.screened) ++screened_;
+  if (resp.implied) ++implied_;
   if (!resp.ok()) {
     ++errors_;
   } else if (resp.verdict == smt::SolveResult::Sat) {
@@ -275,6 +367,7 @@ ServiceResponse AnalyticsService::process(
         .field("session_hit", resp.session_hit)
         .field("memo_hit", resp.memo_hit)
         .field("screened", resp.screened)
+        .field("implied", resp.implied)
         .field("screen_us",
                static_cast<std::uint64_t>(resp.screen_seconds * 1e6))
         .field("portfolio", static_cast<std::uint64_t>(request.portfolio))
@@ -282,6 +375,7 @@ ServiceResponse AnalyticsService::process(
         .field("family", fp_hex(resp.family))
         .field("fp", fp_hex(resp.fingerprint));
     if (resp.sweep_index >= 0) ev.field("sweep_index", resp.sweep_index);
+    if (resp.implied) ev.field("implied_by", resp.implied_by);
     if (!resp.winner.empty()) ev.field("winner", resp.winner);
     if (!resp.ok()) ev.field("error", resp.error);
     ev.emit(options_.trace);
@@ -335,6 +429,7 @@ ServiceStats AnalyticsService::stats() const {
   s.unsat = unsat_.load(std::memory_order_relaxed);
   s.unknown = unknown_.load(std::memory_order_relaxed);
   s.screened = screened_.load(std::memory_order_relaxed);
+  s.implied = implied_.load(std::memory_order_relaxed);
   s.sessions = sessions_.stats();
   s.memo = memo_.stats();
   s.queue_p50_us = queue_hist_.quantile_us(0.50);
@@ -359,6 +454,7 @@ void AnalyticsService::emit_stats() {
       .field("unsat", s.unsat)
       .field("unknown", s.unknown)
       .field("screened", s.screened)
+      .field("implied", s.implied)
       .field("session_hits", s.sessions.hits)
       .field("session_misses", s.sessions.misses)
       .field("session_evictions", s.sessions.evictions)

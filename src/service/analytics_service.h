@@ -10,11 +10,17 @@
 //      fingerprints both;
 //   2. consults the ResultMemo under the combined fingerprint — an exact
 //      repeat answers without touching a solver;
-//   3. otherwise leases a warm kBase session from the SolverSessionCache
+//   3. screens it (LpScreen) — a provably infeasible relaxation answers
+//      Unsat without a solver;
+//   4. on a sweep point, checks what earlier points of the same sweep
+//      answered: a SAT witness that meets this point's caps and secured
+//      set, or a refutation of a point at most as constrained, settles it
+//      (core/implication.h) — no session is leased;
+//   5. otherwise leases a warm kBase session from the SolverSessionCache
 //      and runs verify_delta (push, assert delta, solve under secured
 //      assumptions, pop — learnt clauses survive), or, for
 //      portfolio requests, races fresh clones via verify_portfolio;
-//   4. records queue-wait / solve / total latency into histograms and
+//   6. records queue-wait / solve / total latency into histograms and
 //      emits a "service_request" trace event.
 //
 // stats() aggregates cache hit rates and p50/p95/p99 latencies;
@@ -73,6 +79,9 @@ struct ServiceStats {
   std::uint64_t unknown = 0;
   /// Requests answered Unsat by the LP screen alone (no SMT dispatch).
   std::uint64_t screened = 0;
+  /// Sweep points answered by an earlier point of the same sweep (no
+  /// session leased; see ServiceResponse::implied).
+  std::uint64_t implied = 0;
   SolverSessionCache::Stats sessions;
   ResultMemo::Stats memo;
   /// Microsecond latency percentiles (bucket upper bounds, see
@@ -95,10 +104,19 @@ class AnalyticsService {
   /// internal misuse (broken promise).
   [[nodiscard]] std::future<ServiceResponse> submit(ServiceRequest request);
 
-  /// Expands the sweep (expand_sweep) and enqueues every point. Points of
-  /// one sweep share a family, so after the first miss they all run as
-  /// deltas on warm sessions. Throws what expand_sweep throws on malformed
-  /// axis values; once enqueued, per-point failures come back in-band.
+  /// Expands the sweep (expand_sweep) and enqueues it as one task that
+  /// walks the points in order, answering each before it starts the next.
+  /// Points of one sweep share a family: the task leases one session at
+  /// the first point that needs a solve and holds it to the end, so a
+  /// sweep never scatters over several sessions. Before solving a point it
+  /// checks what earlier points answered — SAT carries up to looser
+  /// points, UNSAT down to tighter ones (core/implication.h) — and answers
+  /// an implied point without a solve. The target axis, Unknown verdicts,
+  /// in-band errors and memo hits never answer a later point, and a point
+  /// picked up after cancel_all is never implied. A sweep occupies one
+  /// worker for its length; parallelism runs across sweeps. Throws what
+  /// expand_sweep throws on malformed axis values; once enqueued, per-point
+  /// failures come back in-band.
   [[nodiscard]] std::vector<std::future<ServiceResponse>> submit_sweep(
       const SweepRequest& sweep);
 
@@ -119,11 +137,17 @@ class AnalyticsService {
   /// (defined in the .cpp; shared_ptr keeps evicted entries alive for
   /// in-flight users).
   struct ScreenEntry;
+  /// One sweep in flight: its held session and the answers its points may
+  /// carry to later ones (defined in the .cpp).
+  struct SweepChain;
 
+  /// Answers one request; `chain` is null for standalone requests.
   [[nodiscard]] ServiceResponse process(const ServiceRequest& request,
                                         std::chrono::steady_clock::time_point
                                             enqueued,
-                                        runtime::CancellationToken cancel);
+                                        const runtime::CancellationToken&
+                                            cancel,
+                                        SweepChain* chain);
   /// Looks up (or builds) the warm screen for `family`; returns nullptr
   /// when the screen could not be constructed (screening then simply
   /// doesn't apply — never an error).
@@ -149,6 +173,7 @@ class AnalyticsService {
   std::atomic<std::uint64_t> unsat_{0};
   std::atomic<std::uint64_t> unknown_{0};
   std::atomic<std::uint64_t> screened_{0};
+  std::atomic<std::uint64_t> implied_{0};
   /// Last member: workers must die before the state they touch.
   std::unique_ptr<runtime::ThreadPool> pool_;
 };

@@ -473,6 +473,7 @@ std::string encode_response(const ServiceResponse& response) {
       .field("session_hit", response.session_hit)
       .field("memo_hit", response.memo_hit)
       .field("screened", response.screened)
+      .field("implied", response.implied)
       .field("screen_s", response.screen_seconds)
       .field("family", fp_hex(response.family))
       .field("fp", fp_hex(response.fingerprint));
@@ -483,6 +484,7 @@ std::string encode_response(const ServiceResponse& response) {
   if (response.sweep_index >= 0) {
     w.field("sweep_index", response.sweep_index);
   }
+  if (response.implied) w.field("implied_by", response.implied_by);
   return w.str();
 }
 
@@ -496,6 +498,7 @@ std::string encode_stats(const ServiceStats& stats) {
       .field("unsat", stats.unsat)
       .field("unknown", stats.unknown)
       .field("screened", stats.screened)
+      .field("implied", stats.implied)
       .field("session_hits", stats.sessions.hits)
       .field("session_misses", stats.sessions.misses)
       .field("session_evictions", stats.sessions.evictions)

@@ -115,6 +115,13 @@ struct ServiceResponse {
   /// way (0 when screening was off or the memo answered first).
   bool screened = false;
   double screen_seconds = 0;
+  /// Sweep points only: an earlier point of the same sweep settled this
+  /// one (a SAT witness that fits it, or a refutation of a point at most as
+  /// constrained; core/implication.h), so no session was leased. A SAT
+  /// answer returns the implying witness's meters. implied_by is the
+  /// implying point's sweep_index, -1 when not implied.
+  bool implied = false;
+  int implied_by = -1;
   /// Family (session-cache key) and full scenario fingerprint — the same
   /// values emitted into trace events, so service responses join against
   /// traces from any tool.
@@ -122,7 +129,7 @@ struct ServiceResponse {
   std::uint64_t fingerprint = 0;
   /// Winning portfolio member label (portfolio requests only).
   std::string winner;
-  /// Per-call solver effort (zero for memo hits).
+  /// Per-call solver effort (zero unless this request was solved).
   std::uint64_t decisions = 0;
   std::uint64_t conflicts = 0;
   std::uint64_t pivots = 0;

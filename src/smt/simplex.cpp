@@ -462,15 +462,13 @@ void Simplex::pivot(std::int32_t rowIdx, TVar entering) {
   // Substitute `entering` in every dependent row's float mirror (identical
   // in both modes); the exact terms follow eagerly (eager mode, or the
   // exact fallback realising the fresh eta immediately) or lazily (eta
-  // mode). Copy the column set: it is mutated during substitution.
-  std::vector<std::int32_t> dependents(
-      cols_[static_cast<std::size_t>(entering)].begin(),
-      cols_[static_cast<std::size_t>(entering)].end());
-  for (std::int32_t r : dependents) {
-    if (r == rowIdx) continue;
+  // mode). The dependents and their mirror coefficients were collected by
+  // pivot_and_update; the column set itself is mutated during
+  // substitution.
+  for (const auto& [r, b] : dependents_) {
     mark_row_dirty(r, false);
     mark_row_dirty(r, true);
-    float_substitute(r, entering, row);
+    float_substitute(r, entering, b, row);
     if (eta) {
       rows_[static_cast<std::size_t>(r)].pending.push_back(
           static_cast<std::uint32_t>(etas_.size() - 1));
@@ -497,11 +495,8 @@ void Simplex::pivot(std::int32_t rowIdx, TVar entering) {
 }
 
 void Simplex::float_substitute(std::int32_t r, TVar entering,
-                               const Row& pivotRow) {
+                               const DoubleApprox& b, const Row& pivotRow) {
   Row& other = rows_[static_cast<std::size_t>(r)];
-  const DoubleApprox* bPtr = mirror_coeff(other, entering);
-  PSSE_ASSERT(bPtr != nullptr);
-  const DoubleApprox b = *bPtr;
   const auto& pm = pivotRow.mirror;
   // Merge other.mirror (minus the entering entry, which cancels
   // structurally) with b * pivot mirror. Entries are never dropped on ~0
@@ -845,12 +840,16 @@ void Simplex::pivot_and_update(std::int32_t rowIdx, TVar entering,
   // the mirror pattern, so the shadow update always has its entry; the
   // exact coefficient can be structurally dead (union-pattern ~0 entry) or
   // lagging the eta file — realise the row first, then a missing exact term
-  // means the assignment truly doesn't move.
+  // means the assignment truly doesn't move. Each dependent's mirror
+  // coefficient is kept for pivot(): the row's mirror does not change
+  // before float_substitute reads it.
+  dependents_.clear();
   for (std::int32_t r : cols_[static_cast<std::size_t>(entering)]) {
     if (r == rowIdx) continue;
     const Row& other = rows_[static_cast<std::size_t>(r)];
     const DoubleApprox* m = mirror_coeff(other, entering);
     PSSE_ASSERT(m != nullptr);
+    dependents_.emplace_back(r, *m);
     VarState& ost = vars_[static_cast<std::size_t>(other.owner)];
     ost.beta_f.add_mul(thetaF, *m);
     if (fm) {

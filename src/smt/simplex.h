@@ -396,6 +396,9 @@ class Simplex {
   void pivot_and_update(std::int32_t rowIdx, TVar entering,
                         const DeltaRational& target,
                         const DoubleApprox& targetApprox);
+  // Solves row `rowIdx` for `entering` and substitutes it into every
+  // dependent row listed in dependents_ (filled by pivot_and_update, its
+  // only caller).
   void pivot(std::int32_t rowIdx, TVar entering);
   // Rebuilds a row's double mirror tight from its exact terms (creation,
   // pivot row, refactorisation — the resynchronisation points shared by
@@ -408,7 +411,9 @@ class Simplex {
   void make_all_fresh();
   // Composes the pivot row into a dependent row's float mirror (identical
   // in both eta modes) and patches the column index to the new pattern.
-  void float_substitute(std::int32_t r, TVar entering, const Row& pivotRow);
+  // `b` is the row's mirror coefficient of `entering`.
+  void float_substitute(std::int32_t r, TVar entering, const DoubleApprox& b,
+                        const Row& pivotRow);
   // Refactorisation trigger (see SimplexOptions::eta_refactor_*), decided
   // from mode-identical state after every pivot.
   [[nodiscard]] bool should_refactor() const;
@@ -482,6 +487,10 @@ class Simplex {
   std::vector<TVar> col_vars_scratch_;
   // Scratch for float_substitute's mirror merge (recycles capacity).
   std::vector<std::pair<TVar, DoubleApprox>> mirror_scratch_;
+  // The current pivot's dependent rows and their mirror coefficients of the
+  // entering variable, looked up once in pivot_and_update and consumed by
+  // pivot (recycles capacity).
+  std::vector<std::pair<std::int32_t, DoubleApprox>> dependents_;
   // Eta file: pivot updates some rows may still have pending. Survives
   // pop_to (the tableau never rolls back; bounds live on the trail) and is
   // truncated only by refactorize().

@@ -281,6 +281,32 @@ TEST(JsonProtocol, ScreenFlagRoundTrips) {
   EXPECT_NE(line.find("\"screen_s\":"), std::string::npos);
 }
 
+TEST(JsonProtocol, EncodesImpliedSweepPoints) {
+  ServiceResponse resp;
+  resp.id = "s[3]";
+  resp.sweep_index = 3;
+  resp.verdict = smt::SolveResult::Sat;
+  resp.altered_measurements = {12, 32, 39, 46, 53};
+  resp.implied = true;
+  resp.implied_by = 2;
+  std::string line = encode_response(resp);
+  EXPECT_TRUE(test_json::Validator(line).valid()) << line;
+  EXPECT_NE(line.find("\"implied\":true"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"implied_by\":2"), std::string::npos) << line;
+
+  resp.implied = false;
+  resp.implied_by = -1;
+  line = encode_response(resp);
+  EXPECT_NE(line.find("\"implied\":false"), std::string::npos) << line;
+  EXPECT_EQ(line.find("implied_by"), std::string::npos) << line;
+
+  ServiceStats stats;
+  stats.implied = 7;
+  line = encode_stats(stats);
+  EXPECT_TRUE(test_json::Validator(line).valid()) << line;
+  EXPECT_NE(line.find("\"implied\":7"), std::string::npos) << line;
+}
+
 TEST(JsonProtocol, RoundTripsThroughScenarioToString) {
   // A programmatic scenario serialised with Scenario::to_string survives
   // JSON embedding (escape + parse) intact.
