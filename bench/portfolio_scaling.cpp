@@ -24,7 +24,10 @@
 // the race finishes with the single fastest member — while cubes
 // partition the space into disjoint subproblems whose refutations run
 // (and finish) in parallel. The verdict column must still be constant
-// down each block. --only NAME restricts the run to one system.
+// down each block. A cube row's `decided` column says what answered:
+// `cubes` (the cube tree), `burn-in` (the split's burn-in on its own) or
+// the label of the ladder member that won the burn-in race. --only NAME
+// restricts the run to one system.
 //
 // --json adds one machine-readable line per row (BENCH_smt.json keeps the
 // before/after baseline).
@@ -46,6 +49,17 @@
 using namespace psse;
 
 namespace {
+
+/// What answered a cube-and-conquer call: the cube tree, the burn-in on
+/// its own, or the deciding member's label (a burn-in racer, or a member
+/// of the race fallback); "-" when nothing did.
+std::string decided_by(const runtime::PortfolioResult& pr) {
+  if (pr.cubes_generated > 0) return "cubes";
+  if (pr.winner >= 0) {
+    return pr.members[static_cast<std::size_t>(pr.winner)].label;
+  }
+  return pr.result() == smt::SolveResult::Unknown ? "-" : "burn-in";
+}
 
 const char* verdict_name(smt::SolveResult r) {
   switch (r) {
@@ -82,7 +96,7 @@ int run_cube_mode(bool json, const obs::Config& trace,
                 "racing repeats one refutation per member; cubes split the "
                 "space so the refutation itself parallelises");
   std::printf("%-12s %-10s %10s %8s %8s %6s %-14s\n", "system", "mode",
-              "ms", "speedup", "verdict", "cubes", "winner");
+              "ms", "speedup", "verdict", "cubes", "decided");
 
   for (const char* name : {"ieee57", "ieee118", "ieee300", "synth1000"}) {
     if (!only.empty() && only != name) continue;
@@ -159,9 +173,10 @@ int run_cube_mode(bool json, const obs::Config& trace,
                     static_cast<unsigned long long>(pr.cubes_generated));
       char mode[16];
       std::snprintf(mode, sizeof mode, "cube-%zu", threads);
-      std::printf("%-12s %-10s %10.1f %8.2f %8s %6s vs-race %.2fx\n", name,
-                  mode, ms, ms > 0 ? serialMs / ms : 0.0,
-                  verdict_name(pr.result()), cubes,
+      const std::string decided = decided_by(pr);
+      std::printf("%-12s %-10s %10.1f %8.2f %8s %6s %-14s vs-race %.2fx\n",
+                  name, mode, ms, ms > 0 ? serialMs / ms : 0.0,
+                  verdict_name(pr.result()), cubes, decided.c_str(),
                   ms > 0 ? raceMs / ms : 0.0);
       std::fflush(stdout);
       bench::JsonLine(json, "portfolio_cube", name)
@@ -172,6 +187,7 @@ int run_cube_mode(bool json, const obs::Config& trace,
           .field("speedup_vs_race", ms > 0 ? raceMs / ms : 0.0)
           .field("cubes_generated", pr.cubes_generated)
           .field("cubes_refuted", pr.cubes_refuted)
+          .field("decided", decided)
           .field("verdict", verdict_name(pr.result()))
           .emit();
     }

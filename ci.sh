@@ -68,14 +68,14 @@ else
 fi
 
 # Cube-and-conquer and racing cross-check: the whole data/ suite once
-# through the warm serial service path, once through a 4-member
-# cube-and-conquer portfolio and once through a 4-member racing portfolio
-# (the first four rungs of runtime::default_portfolio's ladder). Cubes
-# partition the search space and every racing member is sound and
-# complete, so every scenario's verdict must be bit-identical — a
-# divergence here is a completeness bug in the cube tree (a cube lost,
-# double-counted, or misattributed) or a racing member that answers
-# wrongly, never a tolerance issue.
+# through the warm serial service path, once each through a 4- and a
+# 2-thread cube-and-conquer portfolio (three burn-in racers, and one) and
+# once through a 4-member racing portfolio (the first four rungs of
+# runtime::default_portfolio's ladder). Cubes partition the search space
+# and every racing member is sound and complete, so every scenario's
+# verdict must be bit-identical — a divergence here is a completeness bug
+# in the cube tree (a cube lost, double-counted, or misattributed) or a
+# racing member that answers wrongly, never a tolerance issue.
 if command -v python3 >/dev/null 2>&1; then
   echo "== ci: cube-and-conquer and racing cross-check =="
   runner=""
@@ -89,6 +89,8 @@ if command -v python3 >/dev/null 2>&1; then
   { "${runner}" --threads "${jobs}" data; echo "===SPLIT==="; \
     "${runner}" --threads "${jobs}" --portfolio 4 --portfolio-mode cube data; \
     echo "===SPLIT==="; \
+    "${runner}" --threads "${jobs}" --portfolio 2 --portfolio-mode cube data; \
+    echo "===SPLIT==="; \
     "${runner}" --threads "${jobs}" --portfolio 4 data; } \
     | python3 -c '
 import json, sys
@@ -101,14 +103,15 @@ for line in sys.stdin:
     row = json.loads(line)
     assert "error" not in row, row
     runs[-1][row["scenario"]] = row["verdict"]
-serial, cube, race = runs
-assert serial and set(serial) == set(cube) == set(race), \
+serial, cube, cube2, race = runs
+assert serial and set(serial) == set(cube) == set(cube2) == set(race), \
     "scenario sets diverged"
 for name in sorted(serial):
-    assert serial[name] == cube[name] == race[name], \
-        f"{name}: serial={serial[name]} cube={cube[name]} race={race[name]}"
-print(f"ci: cube-and-conquer and racing verdicts identical across "
-      f"{len(serial)} scenarios")
+    assert serial[name] == cube[name] == cube2[name] == race[name], \
+        (f"{name}: serial={serial[name]} cube={cube[name]} "
+         f"cube2={cube2[name]} race={race[name]}")
+print(f"ci: cube-and-conquer (4 and 2 threads) and racing verdicts "
+      f"identical across {len(serial)} scenarios")
 '
 else
   echo "== ci: cube-and-conquer and racing cross-check skipped (no python3) =="

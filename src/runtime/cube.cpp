@@ -25,11 +25,11 @@ CubeSet split_cubes(const core::UfdiAttackModel& model,
     const core::VerificationResult warm =
         prober.verify_with_assumptions({}, burnin);
     out.burnin = warm.stats;
-    if (warm.result == smt::SolveResult::Unsat) {
-      out.refuted = true;
+    if (warm.result != smt::SolveResult::Unknown) {
+      out.refuted = warm.result == smt::SolveResult::Unsat;
+      out.decided = warm;  // a Sat keeps its witness for the caller
       return out;
     }
-    if (warm.result == smt::SolveResult::Sat) return out;  // race re-finds
     if (abort.triggered()) return out;  // the caller's time is up
     std::vector<std::pair<double, TermRef>> ranked;
     ranked.reserve(candidates.size());

@@ -25,6 +25,11 @@
 // instance is UNSAT iff every cube is refuted, and any SAT cube yields a
 // genuine model (the cube literals are assumptions, never clauses, so no
 // conqueror's learnt clauses depend on them; see portfolio.cpp).
+//
+// split_cubes itself is single-threaded. verify_portfolio runs it on the
+// calling thread while diversified solvers race the whole instance on pool
+// threads; a racer's verdict stops the burn-in through the budget's stop
+// token, which split_cubes treats like any caller's stop (no cubes).
 #pragma once
 
 #include <cstdint>
@@ -50,8 +55,9 @@ struct CubeOptions {
   /// Conflict budget for the burn-in solve that warms branching activity
   /// before candidates are ranked. 0 skips the burn-in (candidates keep
   /// construction order). When the burn-in *finishes* within the budget
-  /// the split is already decided: Unsat sets CubeSet::refuted, Sat
-  /// returns no cubes (the caller's race fallback re-derives the model).
+  /// the split is already decided: no cubes are cut, CubeSet::decided
+  /// carries the burn-in's verdict (a Sat with its attack vector), and an
+  /// Unsat also sets CubeSet::refuted.
   std::uint64_t burnin_conflicts = 300;
 };
 
@@ -63,9 +69,13 @@ struct CubeSet {
   /// Literals probing proved level-0 implied (opposite phase conflicted);
   /// already prepended to every cube, kept here for reporting.
   std::vector<smt::TermRef> forced;
-  /// True when probing refuted the instance outright: some candidate
-  /// conflicts in both phases, so the formula is UNSAT and cubes is empty.
+  /// True when the burn-in or probing refuted the instance outright (a
+  /// probing refutation: some candidate conflicts in both phases), so the
+  /// formula is UNSAT and cubes is empty.
   bool refuted = false;
+  /// The burn-in's own result when it finished inside its conflict budget
+  /// (Sat with its attack vector, or Unsat); Unknown otherwise.
+  core::VerificationResult decided;
   /// BCP probes spent (two per fully-probed candidate).
   std::uint64_t probes = 0;
   /// Effort of the burn-in solve (zero when it was skipped). Its work is

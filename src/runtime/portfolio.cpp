@@ -121,8 +121,43 @@ void emit_member_event(const obs::Config& trace, std::uint64_t index,
       .emit(trace);
 }
 
+// Fills a member's outcome from its solve and journals it. `decided` is
+// whether the member's stop flag was up when the solve returned: it tells
+// "cancelled" from "own budget exhausted" for an Unknown verdict.
+void record_outcome(PortfolioMemberOutcome& outcome,
+                    const core::VerificationResult& v, bool decided,
+                    const obs::Config& trace, std::size_t index) {
+  outcome.result = v.result;
+  outcome.seconds = v.seconds;
+  outcome.stats = v.stats;
+  outcome.cancelled = v.result == smt::SolveResult::Unknown && decided;
+  if (trace.enabled()) {
+    emit_member_event(trace, static_cast<std::uint64_t>(index), outcome, v);
+  }
+}
+
+// Waits for every task, forwarding the caller's stop token into the tasks'
+// own flag every 5 ms, so tasks poll only that flag. Once all are done,
+// rethrows the first exception a task raised.
+void wait_all(std::vector<std::future<void>>& futures,
+              const smt::Budget& budget, std::atomic<bool>& flag) {
+  for (std::future<void>& f : futures) {
+    if (budget.stop == nullptr) {
+      f.wait();
+      continue;
+    }
+    while (f.wait_for(std::chrono::milliseconds(5)) !=
+           std::future_status::ready) {
+      if (budget.stop->load(std::memory_order_relaxed)) {
+        flag.store(true, std::memory_order_relaxed);
+      }
+    }
+  }
+  for (std::future<void>& f : futures) f.get();
+}
+
 void emit_done_event(const obs::Config& trace, const PortfolioResult& out,
-                     const PortfolioOptions& options, std::size_t members) {
+                     const PortfolioOptions& options) {
   obs::Event("portfolio_done")
       .field("winner", out.winner)
       .field("winner_label",
@@ -131,7 +166,7 @@ void emit_done_event(const obs::Config& trace, const PortfolioResult& out,
                  : std::string())
       .field("verdict", smt::to_cstring(out.verification.result))
       .field("deterministic", options.deterministic)
-      .field("members", static_cast<std::uint64_t>(members))
+      .field("members", static_cast<std::uint64_t>(out.members.size()))
       .field("seconds", out.seconds)
       .field("mode", options.mode == PortfolioMode::kCubeAndConquer
                          ? "cube"
@@ -211,20 +246,9 @@ PortfolioResult race_portfolio(const core::UfdiAttackModel& model,
       budget.stop = &raceStop;
       core::VerificationResult v;
       if (deadline.clip(budget)) v = clone->verify(budget);
-      // Whether the abort flag was up when this member finished decides
-      // "cancelled" vs "own budget exhausted" for an Unknown verdict.
       const bool raceDecided = raceStop.load(std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(mu);
-      PortfolioMemberOutcome& outcome = out.members[i];
-      outcome.result = v.result;
-      outcome.seconds = v.seconds;
-      outcome.stats = v.stats;
-      outcome.cancelled =
-          v.result == smt::SolveResult::Unknown && raceDecided;
-      if (options.trace.enabled()) {
-        emit_member_event(options.trace, static_cast<std::uint64_t>(i),
-                          outcome, v);
-      }
+      record_outcome(out.members[i], v, raceDecided, options.trace, i);
       results[i] = std::move(v);
       if (results[i].result != smt::SolveResult::Unknown &&
           firstDefinitive < 0) {
@@ -236,19 +260,7 @@ PortfolioResult race_portfolio(const core::UfdiAttackModel& model,
     }));
   }
 
-  // Wait for all members, forwarding an external stop token if given.
-  for (std::future<void>& f : futures) {
-    if (options.budget.stop == nullptr) {
-      f.wait();
-      continue;
-    }
-    while (f.wait_for(std::chrono::milliseconds(5)) !=
-           std::future_status::ready) {
-      if (options.budget.stop->load(std::memory_order_relaxed)) {
-        raceStop.store(true, std::memory_order_relaxed);
-      }
-    }
-  }
+  wait_all(futures, options.budget, raceStop);
 
   if (options.deterministic) {
     // Reproducible winner: lowest index with a definitive answer,
@@ -269,27 +281,131 @@ PortfolioResult race_portfolio(const core::UfdiAttackModel& model,
                     std::chrono::steady_clock::now() - start)
                     .count();
   if (options.trace.enabled()) {
-    emit_done_event(options.trace, out, options, n);
+    emit_done_event(options.trace, out, options);
   }
+  return out;
+}
+
+// The outcome of cube-and-conquer's burn-in phase.
+struct BurnIn {
+  CubeSet cubes;
+  /// One entry per racer (ladder members 1..n-1); empty when the burn-in
+  /// ran serially.
+  std::vector<PortfolioMemberOutcome> racers;
+  /// Index into racers of the first racer with a definitive verdict, and
+  /// that verdict; -1 when no racer decided.
+  int winner = -1;
+  core::VerificationResult verdict;
+};
+
+// The burn-in as a race: the split (burn-in, probes and cut on the
+// baseline prober) runs unchanged on the calling thread, while ladder
+// members 1..n-1 of default_portfolio(n) solve their own clones of the
+// caller's model on n-1 pool threads. One phase flag ends it. A racer's Sat
+// or Unsat raises it, and the split's burn-in sees it through its budget's
+// stop and returns no cubes; the split raises it when it returns, which
+// cancels the racers. The phase therefore never lasts longer than the
+// serial burn-in and probes, plus a racer's stop latency (the solver polls
+// between pivots, eta entries and refactorisation steps). Racers get no
+// conflict limit (the split bounds them), the call's deadline, and check
+// the flag before cloning; they clone the caller's model, which is const
+// during the call, never the prober, which is being solved. The pool is
+// joined and every racer's clone freed before this returns, so no racer
+// overlaps a conquer worker.
+//
+// The split stays on the calling thread, as in the serial burn-in, so the
+// prober is allocated from the caller's malloc arena rather than from a
+// pool thread's: with the split on a pool thread, perfbench's unsat_refute
+// read a peak RSS of 64 MB against 56 MB. While the caller is busy
+// splitting, a pool task forwards its stop token.
+BurnIn race_burnin(const core::UfdiAttackModel& model,
+                   const PortfolioOptions& options, const Deadline& deadline,
+                   std::size_t n) {
+  const std::vector<PortfolioMember> ladder = default_portfolio(n);
+  BurnIn out;
+  out.racers.resize(n - 1);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    out.racers[i].label = ladder[i + 1].label;
+  }
+  std::atomic<bool> phaseStop{stop_requested(options.budget)};
+  std::mutex mu;
+
+  const bool forward = options.budget.stop != nullptr;
+  ThreadPool pool(n - 1 + (forward ? 1 : 0));
+  std::vector<std::future<void>> futures;
+  futures.reserve(n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    futures.push_back(pool.submit([&, i] {
+      core::VerificationResult v;
+      if (!phaseStop.load(std::memory_order_relaxed)) {
+        auto clone = model.clone();
+        clone->set_solver_options(ladder[i + 1].options);
+        smt::Budget budget = options.budget;
+        budget.max_conflicts = 0;
+        budget.stop = &phaseStop;
+        if (deadline.clip(budget)) v = clone->verify(budget);
+      }
+      const bool phaseOver = phaseStop.load(std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(mu);
+      record_outcome(out.racers[i], v, phaseOver, options.trace, i);
+      if (v.result != smt::SolveResult::Unknown && out.winner < 0) {
+        out.winner = static_cast<int>(i);
+        out.verdict = std::move(v);
+        phaseStop.store(true, std::memory_order_relaxed);
+      }
+    }));
+  }
+  if (forward) {
+    futures.push_back(pool.submit([&] {
+      while (!phaseStop.load(std::memory_order_relaxed)) {
+        if (options.budget.stop->load(std::memory_order_relaxed)) {
+          phaseStop.store(true, std::memory_order_relaxed);
+        } else {
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+      }
+    }));
+  }
+  try {
+    smt::Budget burnin = options.budget;
+    burnin.stop = &phaseStop;
+    if (deadline.clip(burnin)) {
+      out.cubes = split_cubes(model, options.cube, burnin);
+    }
+  } catch (...) {
+    phaseStop.store(true, std::memory_order_relaxed);  // let the pool join
+    throw;
+  }
+  phaseStop.store(true, std::memory_order_relaxed);
+  wait_all(futures, options.budget, phaseStop);
   return out;
 }
 
 // Cube-and-conquer: split the instance into sign-combination cubes on
 // topology-poisoning literals, then fan cubes across the pool.
 //
+// Burn-in: with n = min(num_threads, hardware threads) > 1 and racing mode,
+// the split races ladder members 1..n-1 on the idle threads (race_burnin).
+// A racer's definitive verdict answers the call, even if the split cut
+// cubes in the same instant: then no cube runs and cubes_generated ==
+// cubes_refuted == 0. Deterministic mode and n == 1 run the split alone:
+// the racers' stop is a wall-clock event, so they cannot be reproducible.
+// A burn-in that finishes on its own answers with its verdict and, for a
+// Sat, its witness.
+//
 // Warm fork: the split's burn-in solve runs on a prober — a clone of the
 // caller's model, with the model's solver options — and every conquer
 // worker starts as a copy of that prober, with the burn-in's learnt
 // clauses, activities and saved phases.
 //
-// Scheduling: min(num_threads, cubes, hardware threads) workers, each
-// cloning the prober ONCE and pulling cube indices from a shared counter —
-// more cubes than workers keeps everyone busy while a clone's learnt
-// database stays warm across the cubes it conquers.
+// Scheduling: min(n, cubes) workers, each cloning the prober ONCE and
+// pulling cube indices from a shared counter — more cubes than workers
+// keeps everyone busy while a clone's learnt database stays warm across
+// the cubes it conquers.
 //
 // Budget: the caller's max_time is one deadline for the whole call, and
-// it and the stop token reach the burn-in, every cube and the race
-// fallback; max_conflicts bounds each cube.
+// it and the stop token reach the burn-in, every racer, every cube and the
+// race fallback; max_conflicts bounds each cube.
 //
 // Workers inherit the burn-in's learnt clauses even though they solve
 // different cubes: cube literals enter the solver as *assumptions*, never
@@ -306,29 +422,58 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
                                   const Deadline& deadline) {
   const auto start = Clock::now();
   PortfolioResult out;
-  auto finish = [&](std::size_t members) {
+  auto finish = [&] {
     out.seconds =
         std::chrono::duration<double>(Clock::now() - start).count();
     if (out.winner < 0) out.verification.seconds = out.seconds;
     if (options.trace.enabled()) {
-      emit_done_event(options.trace, out, options, members);
+      emit_done_event(options.trace, out, options);
     }
   };
 
-  CubeSet cubes;
-  smt::Budget burnin = options.budget;
-  if (deadline.clip(burnin)) {
-    cubes = split_cubes(model, options.cube, burnin);
+  // Conquer workers are CPU-bound from the first instant (no member ever
+  // idles waiting for a verdict the way a losing racer does), so running
+  // more of them than hardware threads only adds clone cost and context
+  // switching. num_threads stays the parallelism *budget*; the host core
+  // count caps how much of it is spent.
+  const std::size_t hw = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
+  const std::size_t n =
+      std::min(std::max<std::size_t>(options.num_threads, 1), hw);
+
+  BurnIn burn;
+  if (options.deterministic || n == 1) {
+    smt::Budget burnin = options.budget;
+    if (deadline.clip(burnin)) {
+      burn.cubes = split_cubes(model, options.cube, burnin);
+    }
+  } else {
+    burn = race_burnin(model, options, deadline, n);
+  }
+  CubeSet& cubes = burn.cubes;
+  out.members = std::move(burn.racers);
+  if (burn.winner >= 0) {
+    out.winner = burn.winner;
+    out.verification = std::move(burn.verdict);
+    finish();
+    return out;
+  }
+  if (cubes.decided.result != smt::SolveResult::Unknown) {
+    // The burn-in finished inside its budget: its verdict, and a Sat's
+    // witness, answer the call.
+    out.verification = std::move(cubes.decided);
+    finish();
+    return out;
   }
   if (cubes.refuted) {
-    // The burn-in or the lookahead closed the instance on its own.
+    // The lookahead closed the instance on its own.
     out.verification.result = smt::SolveResult::Unsat;
     out.verification.stats = cubes.burnin;
-    finish(0);
+    finish();
     return out;
   }
   if (stop_requested(options.budget) || deadline.passed()) {
-    finish(0);  // cancelled, or out of time, before any cube ran
+    finish();  // cancelled, or out of time, before any cube ran
     return out;
   }
   if (cubes.cubes.size() < 2) {
@@ -338,21 +483,15 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
   }
 
   const std::size_t numCubes = cubes.cubes.size();
-  // Conquer workers are CPU-bound from the first instant (no member ever
-  // idles waiting for a verdict the way a losing racer does), so running
-  // more of them than hardware threads only adds clone cost and context
-  // switching. num_threads stays the parallelism *budget*; the host core
-  // count caps how much of it is spent.
-  const std::size_t hw = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
-  const std::size_t numWorkers = std::min(
-      {options.num_threads > 0 ? options.num_threads : 1, numCubes, hw});
+  const std::size_t numWorkers = std::min(n, numCubes);
   const core::UfdiAttackModel& fork = *cubes.prober;
 
+  // Cube k is member first + k, after the racers.
+  const std::size_t first = out.members.size();
   out.cubes_generated = numCubes;
-  out.members.resize(numCubes);
+  out.members.resize(first + numCubes);
   for (std::size_t k = 0; k < numCubes; ++k) {
-    out.members[k].label = "cube-" + std::to_string(k);
+    out.members[first + k].label = "cube-" + std::to_string(k);
   }
 
   std::atomic<bool> raceStop{false};
@@ -378,7 +517,7 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
           // stop): mark the unstarted cube cancelled and keep draining so
           // every cube gets an outcome.
           std::lock_guard<std::mutex> lock(mu);
-          out.members[k].cancelled = true;
+          out.members[first + k].cancelled = true;
           continue;
         }
         smt::Budget budget = options.budget;
@@ -389,16 +528,8 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
         }
         const bool raceDecided = raceStop.load(std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(mu);
-        PortfolioMemberOutcome& outcome = out.members[k];
-        outcome.result = v.result;
-        outcome.seconds = v.seconds;
-        outcome.stats = v.stats;
-        outcome.cancelled =
-            v.result == smt::SolveResult::Unknown && raceDecided;
-        if (options.trace.enabled()) {
-          emit_member_event(options.trace, static_cast<std::uint64_t>(k),
-                            outcome, v);
-        }
+        record_outcome(out.members[first + k], v, raceDecided,
+                       options.trace, first + k);
         if (v.result == smt::SolveResult::Unsat) ++refuted;
         if (v.result == smt::SolveResult::Sat && satCube < 0) {
           satCube = static_cast<int>(k);
@@ -410,19 +541,7 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
       }
     }));
   }
-
-  for (std::future<void>& f : futures) {
-    if (options.budget.stop == nullptr) {
-      f.wait();
-      continue;
-    }
-    while (f.wait_for(std::chrono::milliseconds(5)) !=
-           std::future_status::ready) {
-      if (options.budget.stop->load(std::memory_order_relaxed)) {
-        raceStop.store(true, std::memory_order_relaxed);
-      }
-    }
-  }
+  wait_all(futures, options.budget, raceStop);
 
   out.cubes_refuted = refuted;
   int winner = satCube;
@@ -436,7 +555,7 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
     }
   }
   if (winner >= 0) {
-    out.winner = winner;
+    out.winner = static_cast<int>(first) + winner;
     out.verification = std::move(results[static_cast<std::size_t>(winner)]);
   } else if (refuted == numCubes) {
     // Every branch of the cube tree is closed: joint UNSAT. The winner
@@ -448,7 +567,7 @@ PortfolioResult conquer_portfolio(const core::UfdiAttackModel& model,
       accumulate_stats(out.verification.stats, results[k].stats);
     }
   }  // else: some cube Unknown/cancelled — verdict stays Unknown.
-  finish(numCubes);
+  finish();
   return out;
 }
 

@@ -52,8 +52,13 @@ enum class PortfolioMode {
   /// Cube-and-conquer: split the instance into sign-combination cubes on
   /// topology-poisoning literals (split_cubes), then fan the cubes across
   /// the pool, each worker a copy of the split's warm prober. UNSAT
-  /// requires every cube refuted; SAT short-circuits. Falls back to racing
-  /// when no usable split exists.
+  /// requires every cube refuted; SAT short-circuits. While the split runs
+  /// its burn-in, ladder members 1..n-1 of default_portfolio(n) race the
+  /// whole instance on the other threads (n = min(num_threads, hardware
+  /// threads); not in deterministic mode): the first definitive verdict
+  /// ends the phase and answers the call, and the split returning cancels
+  /// the racers. A burn-in that finishes on its own answers too, with its
+  /// witness for a Sat. Falls back to racing when no usable split exists.
   kCubeAndConquer,
 };
 
@@ -66,9 +71,10 @@ struct PortfolioOptions {
   /// Limits for the call. max_time is one deadline for the whole call,
   /// fixed on entry: every solve it starts (racing member, burn-in, cube,
   /// race fallback) gets only the time that is left. max_conflicts bounds
-  /// each member's or each cube's solve. A caller-supplied stop token is
-  /// honoured (it cancels the whole portfolio); the internal first-winner
-  /// cancellation is layered on top of it.
+  /// each member's or each cube's solve (not the burn-in racers of
+  /// kCubeAndConquer: the split ends them). A caller-supplied stop token
+  /// is honoured (it cancels the whole portfolio); the internal
+  /// first-winner cancellation is layered on top of it.
   smt::Budget budget;
   /// Structured tracing: one "portfolio_member" event per member as it
   /// completes (including cancelled losers) and a closing "portfolio_done"
@@ -98,18 +104,25 @@ struct PortfolioMemberOutcome {
 struct PortfolioResult {
   /// The winning member's full verification result (attack vector, stats).
   core::VerificationResult verification;
-  /// Index into members of the winner; -1 if no member was definitive.
+  /// Index into members of the member that decided; -1 if none did. Under
+  /// kCubeAndConquer a joint UNSAT of the cube tree and a verdict of the
+  /// burn-in itself also leave it at -1: no member owns them.
   int winner = -1;
   /// Wall-clock of the whole portfolio call.
   double seconds = 0.0;
-  /// Under kRace: one entry per racing member. Under kCubeAndConquer: one
-  /// entry per *cube* (labelled "cube-K"), including cubes
-  /// cancelled by a sibling's SAT short-circuit. A cube's stats are its own
-  /// solve; the burn-in's effort is counted once, in the joint UNSAT stats.
+  /// Under kRace: one entry per racing member. Under kCubeAndConquer: the
+  /// burn-in racers first, under their ladder labels (cancelled when the
+  /// phase ended before they decided), then one entry per *cube*
+  /// (labelled "cube-K"), including cubes cancelled by a sibling's SAT
+  /// short-circuit. A cube's stats are its own solve; the burn-in's effort
+  /// is counted once, in the joint UNSAT stats, and a racer's not at all.
+  /// When no usable split exists, the race fallback's members replace
+  /// these.
   std::vector<PortfolioMemberOutcome> members;
-  /// Cube-and-conquer accounting (zero under kRace). An UNSAT verdict
-  /// implies cubes_refuted == cubes_generated — the cube tree is only
-  /// closed when every branch is; the completeness test enforces this.
+  /// Cube-and-conquer accounting (zero under kRace, and when the burn-in
+  /// phase decided). An UNSAT verdict implies cubes_refuted ==
+  /// cubes_generated — the cube tree is only closed when every branch is;
+  /// the completeness test enforces this.
   std::uint64_t cubes_generated = 0;
   std::uint64_t cubes_refuted = 0;
 

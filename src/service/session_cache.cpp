@@ -102,11 +102,26 @@ SolverSessionCache::Lease SolverSessionCache::acquire(
   return Lease(state_, std::move(family), std::move(model), false);
 }
 
-SolverSessionCache::Lease::~Lease() {
+SolverSessionCache::Lease& SolverSessionCache::Lease::operator=(
+    Lease&& other) noexcept {
+  if (this != &other) {
+    release();
+    state_ = std::move(other.state_);
+    family_ = std::move(other.family_);
+    model_ = std::move(other.model_);
+    hit_ = other.hit_;
+  }
+  return *this;
+}
+
+SolverSessionCache::Lease::~Lease() { release(); }
+
+void SolverSessionCache::Lease::release() {
   if (model_ == nullptr) return;
   if (auto state = state_.lock()) {
     state->checkin(family_, std::move(model_));
   }
+  model_.reset();
 }
 
 SolverSessionCache::Stats SolverSessionCache::stats() const {

@@ -51,7 +51,8 @@ class SolverSessionCache {
    public:
     Lease() = default;
     Lease(Lease&&) noexcept = default;
-    Lease& operator=(Lease&&) noexcept = default;
+    /// Checks this lease's own session back in first, then takes over.
+    Lease& operator=(Lease&& other) noexcept;
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;
     /// Checks the session back in (or drops it if the cache is gone).
@@ -72,6 +73,9 @@ class SolverSessionCache {
           family_(std::move(family)),
           model_(std::move(model)),
           hit_(hit) {}
+    /// Checks the session back in (or drops it if the cache is gone) and
+    /// leaves the lease empty.
+    void release();
 
     std::weak_ptr<State> state_;
     std::shared_ptr<Family> family_;

@@ -489,7 +489,9 @@ void Simplex::pivot(std::int32_t rowIdx, TVar entering) {
         other.derive[1].valid = false;
       }
     } else if (!fm) {
-      ensure_fresh(r);
+      // Once the interrupt fires, the rest keep the fresh eta pending, as
+      // eta mode does: check() returns right after this pivot.
+      static_cast<void>(ensure_fresh_or_stop(r));
     }
   }
 }
@@ -536,9 +538,9 @@ void Simplex::float_substitute(std::int32_t r, TVar entering,
   col_erase(cols_[static_cast<std::size_t>(entering)], r);
 }
 
-void Simplex::ensure_fresh(std::int32_t rowIdx) {
+bool Simplex::replay_pending(std::int32_t rowIdx, const Interrupt* poll) {
   Row& row = rows_[static_cast<std::size_t>(rowIdx)];
-  if (row.pending.empty()) return;
+  if (row.pending.empty()) return true;
   obs::ScopedPhaseTimer timer(phases_ == nullptr ? nullptr
                                                  : &phases_->ftran_us);
   // Replay the pending eta entries in order; each one is exactly the
@@ -548,12 +550,18 @@ void Simplex::ensure_fresh(std::int32_t rowIdx) {
   // pattern at that moment — so an entry can still miss the exact terms
   // (structurally dead ~0 mirror entry), but no hitting eta is ever
   // outside the list, and the list order is pivot order, which keeps the
-  // replay chronological.
+  // replay chronological. A replayed prefix is the eager row as of that
+  // prefix's last pivot, so stopping between entries leaves a row that the
+  // rest of the list brings up to date. One entry on coefficients grown
+  // large can take milliseconds, hence the poll before each one that
+  // changes the row (a miss costs one binary search and is not polled).
   bool changed = false;
-  for (std::uint32_t k : row.pending) {
-    const Eta& e = etas_[k];
+  std::size_t done = 0;
+  for (; done < row.pending.size(); ++done) {
+    const Eta& e = etas_[row.pending[done]];
     const Rational* bPtr = row_coeff(row, e.entered);
     if (bPtr == nullptr) continue;
+    if (poll != nullptr && poll->triggered()) break;
     Rational b = *bPtr;
     Rational negB = b;
     negB.negate();
@@ -561,12 +569,18 @@ void Simplex::ensure_fresh(std::int32_t rowIdx) {
     row.expr.add_scaled(e.def, b, merge_scratch_);
     changed = true;
   }
-  pending_total_ -= row.pending.size();
-  row.pending.clear();
   if (changed) {
     row.derive[0].valid = false;
     row.derive[1].valid = false;
   }
+  pending_total_ -= done;
+  if (done < row.pending.size()) {
+    row.pending.erase(row.pending.begin(),
+                      row.pending.begin() + static_cast<std::ptrdiff_t>(done));
+    return false;
+  }
+  row.pending.clear();
+  return true;
 }
 
 void Simplex::make_all_fresh() {
@@ -585,10 +599,9 @@ bool Simplex::should_refactor() const {
   return max_mirror_err_ > options_.eta_error_budget;
 }
 
-void Simplex::refactorize() {
+bool Simplex::refactorize() {
   obs::ScopedPhaseTimer timer(phases_ == nullptr ? nullptr
                                                  : &phases_->btran_us);
-  ++refactorisations_;
   if (options_.eta_tableau) {
     // Two equivalent ways to make every exact row current (the dictionary
     // per basis is unique, so both land on bit-identical rows): drain the
@@ -598,15 +611,22 @@ void Simplex::refactorize() {
     // full sparse elimination regardless of backlog length, which only
     // wins once laziness has banked several times the tableau's worth of
     // skipped work (long eta files on large, lightly-queried tableaus).
+    // Either can take hundreds of milliseconds once coefficients have
+    // grown, so both stop on the interrupt before anything below runs: a
+    // partly drained backlog is still a valid eta file.
     if (pending_total_ > 8 * rows_.size()) {
-      rebuild_rows_from_origs();
+      if (!rebuild_rows_from_origs()) return false;
       for (Row& row : rows_) row.pending.clear();
       pending_total_ = 0;
     } else {
-      make_all_fresh();
+      for (std::int32_t r = 0; r < static_cast<std::int32_t>(rows_.size());
+           ++r) {
+        if (!ensure_fresh_or_stop(r)) return false;
+      }
     }
     PSSE_ASSERT(pending_total_ == 0);
   }
+  ++refactorisations_;
   etas_.clear();
   pivots_since_refactor_ = 0;
   max_mirror_err_ = 0.0;
@@ -625,9 +645,10 @@ void Simplex::refactorize() {
     }
   }
   base_nnz_ = mirror_nnz_;
+  return true;
 }
 
-void Simplex::rebuild_rows_from_origs() {
+bool Simplex::rebuild_rows_from_origs() {
   // From-scratch solve of the immutable creation identities
   // {orig_owner_i = orig_i} for the *current* basis: Markowitz-ordered
   // sparse Gaussian elimination (pick the (equation, basic var) pivot with
@@ -688,7 +709,14 @@ void Simplex::rebuild_rows_from_origs() {
     }
   };
 
+  // Polled once per elimination step, per substitution into a remaining
+  // equation and per back-substitution: all of the work is on the local
+  // copies above, so stopping anywhere leaves rows_ untouched.
+  auto stopped = [this] {
+    return interrupt_ != nullptr && interrupt_->triggered();
+  };
   for (std::size_t step = 0; step < m; ++step) {
+    if (stopped()) return false;
     // Markowitz-flavoured pivot selection: emptiest unsolved column first
     // (a column of one eliminates with zero fill), shortest equation within
     // it. Invertibility of the basis submatrix guarantees a candidate.
@@ -742,6 +770,7 @@ void Simplex::rebuild_rows_from_origs() {
     std::vector<std::int32_t> users = bcols[static_cast<std::size_t>(bestV)];
     for (std::int32_t f : users) {
       if (eqDone[static_cast<std::size_t>(f)] != 0) continue;
+      if (stopped()) return false;
       LinExpr& eqf = eqs[static_cast<std::size_t>(f)];
       const Rational* bPtr = coeff_of(eqf, bestV);
       PSSE_ASSERT(bPtr != nullptr);
@@ -782,6 +811,7 @@ void Simplex::rebuild_rows_from_origs() {
     for (TVar w : pending) {
       const Rational* bPtr = coeff_of(S, w);
       if (bPtr == nullptr) continue;  // cancelled by an earlier substitution
+      if (stopped()) return false;
       Rational b = *bPtr;
       Rational negB = b;
       negB.negate();
@@ -794,6 +824,7 @@ void Simplex::rebuild_rows_from_origs() {
     rows_[r].expr =
         std::move(solvedExpr[static_cast<std::size_t>(rows_[r].owner)]);
   }
+  return true;
 }
 
 void Simplex::pivot_and_update(std::int32_t rowIdx, TVar entering,
@@ -946,7 +977,10 @@ bool Simplex::check() {
   // when they provably clear the error envelope (lexicographic
   // delta-rational order: a strict real-part margin decides regardless of
   // the delta parts); otherwise the exact assignment is restored and the
-  // comparison is exact — a certification point.
+  // comparison is exact — a certification point. The restore reads the
+  // candidate's row; when the interrupt cuts its replay short, `stopped`
+  // is set and the classification is meaningless.
+  bool stopped = false;
   auto classify = [&](TVar cand) -> std::pair<bool, bool> {
     VarState& cst = vars_[static_cast<std::size_t>(cand)];
     if (cst.stale) {
@@ -976,6 +1010,10 @@ bool Simplex::check() {
           cst.lower.active && cst.beta_f.value < cst.lower.approx.value;
       const bool guessUp = !guessLow && cst.upper.active &&
                            cst.beta_f.value > cst.upper.approx.value;
+      if (!ensure_fresh_or_stop(cst.row)) {
+        stopped = true;
+        return {false, false};
+      }
       restore_beta(cand);
       const bool exLow = cst.lower.active && cst.beta < cst.lower.value;
       const bool exUp =
@@ -1020,6 +1058,14 @@ bool Simplex::check() {
         continue;
       }
       const auto [lowViol, upViol] = classify(cand);
+      if (stopped) {
+        // Interrupted check: the unclassified rest of the worklist, this
+        // candidate included, stays queued.
+        violated_.erase(violated_.begin() + static_cast<std::ptrdiff_t>(w),
+                        violated_.begin() + static_cast<std::ptrdiff_t>(i));
+        interrupted_dirty_ = true;
+        return true;
+      }
       if (!lowViol && !upViol) {
         violated_flag_[static_cast<std::size_t>(cand)] = false;
         continue;
@@ -1057,8 +1103,11 @@ bool Simplex::check() {
     std::int32_t rowIdx = st.row;
     // Selection reads the exact terms (suitability must be authoritative),
     // so the violated row is the one place per pivot the eta backlog is
-    // always realised.
-    ensure_fresh(rowIdx);
+    // always realised. A replay cut short is an interrupted check.
+    if (!ensure_fresh_or_stop(rowIdx)) {
+      interrupted_dirty_ = true;
+      return true;
+    }
     const Row& row = rows_[static_cast<std::size_t>(rowIdx)];
     // Entering variable among the suitable columns: Bland takes the
     // smallest index, the heuristic the largest coefficient magnitude
@@ -1130,7 +1179,10 @@ bool Simplex::check() {
     // The trigger reads only mode-identical state (pivot count, mirror
     // fill, mirror error), so both eta modes refactorise — and re-tighten
     // their float mirrors — at exactly the same pivots.
-    if (should_refactor()) refactorize();
+    if (should_refactor() && !refactorize()) {
+      interrupted_dirty_ = true;
+      return true;
+    }
   }
 }
 
@@ -1152,7 +1204,8 @@ void Simplex::propagate_implied(std::vector<ImpliedBound>& out) {
     out.push_back({v, isUpper, b.value, {b.reason}});
   }
   fresh_bounds_.clear();
-  for (std::int32_t r : dirty_rows_) {
+  for (std::size_t i = 0; i < dirty_rows_.size(); ++i) {
+    const std::int32_t r = dirty_rows_[i];
     const std::uint8_t mask = row_dirty_[static_cast<std::size_t>(r)];
     row_dirty_[static_cast<std::size_t>(r)] = 0;
     if ((mask & 3) == 0) continue;  // queued by hold_row_place only
@@ -1160,19 +1213,28 @@ void Simplex::propagate_implied(std::vector<ImpliedBound>& out) {
             rows_[static_cast<std::size_t>(r)].owner)]) {
       continue;
     }
-    if ((mask & 2) != 0) derive_row_bound(r, true, out);
-    if ((mask & 1) != 0) derive_row_bound(r, false, out);
+    const bool upperDone = (mask & 2) == 0 || derive_row_bound(r, true, out);
+    if (upperDone && ((mask & 1) == 0 || derive_row_bound(r, false, out))) {
+      continue;
+    }
+    // Interrupted while realising the row: this row's unfinished sides and
+    // every row after it stay queued for the next drain.
+    row_dirty_[static_cast<std::size_t>(r)] =
+        static_cast<std::uint8_t>(upperDone ? (mask & 1) : mask);
+    dirty_rows_.erase(dirty_rows_.begin(),
+                      dirty_rows_.begin() + static_cast<std::ptrdiff_t>(i));
+    return;
   }
   dirty_rows_.clear();
 }
 
-void Simplex::derive_row_bound(std::int32_t rowIdx, bool upper,
+bool Simplex::derive_row_bound(std::int32_t rowIdx, bool upper,
                                std::vector<ImpliedBound>& out) {
   {
     Row& row = rows_[static_cast<std::size_t>(rowIdx)];
     // The cached blocker still lacks its bound: the prepass below would
     // fail again, at this column or an earlier one.
-    if (blocked(row, upper)) return;
+    if (blocked(row, upper)) return true;
     const VarState& owner = vars_[static_cast<std::size_t>(row.owner)];
     const Bound& own = upper ? owner.upper : owner.lower;
     // Mirror prepass — the row's exact terms may be lagging the eta file,
@@ -1213,21 +1275,21 @@ void Simplex::derive_row_bound(std::int32_t rowIdx, bool upper,
         row.blocker_upper = static_cast<std::uint8_t>(
             consumesUpper ? (row.blocker_upper | bit)
                           : (row.blocker_upper & ~bit));
-        return;
+        return true;
       }
       if (screenable) sum.add_mul(b.approx, m);
     }
     if (screenable) {
       const bool skip = upper ? sum.definitely_greater(own.approx)
                               : own.approx.definitely_greater(sum);
-      if (skip) return;
+      if (skip) return true;
     }
   }
 
   // Anything past the screen reads the exact terms; realise the row (this
   // is where the eta mode pays, and only for rows that actually emit or
   // come within a float margin of emitting).
-  ensure_fresh(rowIdx);
+  if (!ensure_fresh_or_stop(rowIdx)) return false;
   Row& row = rows_[static_cast<std::size_t>(rowIdx)];
   const VarState& owner = vars_[static_cast<std::size_t>(row.owner)];
   const Bound& own = upper ? owner.upper : owner.lower;
@@ -1258,7 +1320,7 @@ void Simplex::derive_row_bound(std::int32_t rowIdx, bool upper,
     const VarState& st = vars_[static_cast<std::size_t>(terms[i].first)];
     const Bound& b =
         (upper != terms[i].second.is_negative()) ? st.upper : st.lower;
-    if (!b.active) return;  // one unbounded column kills the derivation
+    if (!b.active) return true;  // one unbounded column kills the derivation
     if (aligned && b.revision != dc.revs[i]) {
       if (b.value != dc.vals[i]) {
         changed = true;
@@ -1278,10 +1340,10 @@ void Simplex::derive_row_bound(std::int32_t rowIdx, bool upper,
   if (!changed) {
     if (own.active &&
         (upper ? own.value <= dc.implied : own.value >= dc.implied)) {
-      return;
+      return true;
     }
     emit(dc.implied);
-    return;
+    return true;
   }
 
   if (options_.float_filter) ++exact_recomputes_;
@@ -1325,9 +1387,10 @@ void Simplex::derive_row_bound(std::int32_t rowIdx, bool upper,
   // derivation could.
   if (own.active &&
       (upper ? own.value <= dc.implied : own.value >= dc.implied)) {
-    return;
+    return true;
   }
   emit(dc.implied);
+  return true;
 }
 
 void Simplex::compute_delta() {

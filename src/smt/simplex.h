@@ -384,9 +384,11 @@ class Simplex {
   [[nodiscard]] bool blocked(const Row& row, bool upper) const;
   // Derives the upper (or lower) bound a row forces on its owner, if every
   // column variable is bounded on the relevant side. Float-screened: rows
-  // that provably cannot tighten the owner's bound are skipped.
-  void derive_row_bound(std::int32_t rowIdx, bool upper,
-                        std::vector<ImpliedBound>& out);
+  // that provably cannot tighten the owner's bound are skipped. Returns
+  // false, deriving nothing, when the interrupt fired while the row was
+  // being brought up to date.
+  [[nodiscard]] bool derive_row_bound(std::int32_t rowIdx, bool upper,
+                                      std::vector<ImpliedBound>& out);
   // Moves a non-basic variable and propagates into dependent basics (in
   // doubles when the filter is live, exactly otherwise).
   void update(TVar v, const DeltaRational& newVal,
@@ -407,7 +409,19 @@ class Simplex {
   // Folds the pending eta-file entries into a row's exact terms (FTRAN
   // analogue). No-op when the row is current — in particular always in
   // eager mode.
-  void ensure_fresh(std::int32_t rowIdx);
+  void ensure_fresh(std::int32_t rowIdx) {
+    static_cast<void>(replay_pending(rowIdx, nullptr));
+  }
+  // ensure_fresh for callers that can give up and report an interrupted
+  // check: polls the attached interrupt before each entry that changes the
+  // row, and returns false once it fires. The pending list then holds
+  // exactly the etas not yet replayed, so a later call resumes there.
+  [[nodiscard]] bool ensure_fresh_or_stop(std::int32_t rowIdx) {
+    return replay_pending(rowIdx, interrupt_);
+  }
+  // The replay behind both: `poll` is null for callers that cannot stop.
+  [[nodiscard]] bool replay_pending(std::int32_t rowIdx,
+                                    const Interrupt* poll);
   void make_all_fresh();
   // Composes the pivot row into a dependent row's float mirror (identical
   // in both eta modes) and patches the column index to the new pattern.
@@ -421,9 +435,14 @@ class Simplex {
   // immutable creation identities by Markowitz-ordered elimination (BTRAN
   // analogue; cost independent of the backlog length), then — in both
   // modes — rebuilds tight mirrors and the column index and truncates the
-  // eta file.
-  void refactorize();
-  void rebuild_rows_from_origs();
+  // eta file. The exact work polls the attached interrupt between rows and
+  // between eta entries (or elimination steps); when it fires, returns
+  // false with the eta file, the mirrors and every pending list still
+  // describing the current rows, so the next pivot triggers it again.
+  [[nodiscard]] bool refactorize();
+  // The Markowitz rebuild. Writes rows_ only once it has finished, so an
+  // interrupted rebuild (false) leaves every row as it was.
+  [[nodiscard]] bool rebuild_rows_from_origs();
   [[nodiscard]] const Rational* row_coeff(const Row& row, TVar v) const;
   [[nodiscard]] const DoubleApprox* mirror_coeff(const Row& row,
                                                  TVar v) const;

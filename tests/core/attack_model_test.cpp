@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <string>
+#include <thread>
 
 #include "core/scenario.h"
 #include "grid/ieee_cases.h"
@@ -440,6 +442,48 @@ TEST(AttackModel, TimeBudgetHoldsThroughSlowPivots) {
       std::chrono::steady_clock::now() - start);
   EXPECT_NE(r.result, SolveResult::Unsat);  // the scenario is SAT
   EXPECT_LT(took, 2 * budget.max_time);
+}
+
+// A stop token reaches eta replays and refactorisations, not only the
+// pivot loop. The ieee57 refutation below (full plan, mid-grid target, cap
+// below the 4-measurement floor), with positive phase and random
+// branching, spends its first ~150 ms in one refactorisation whose row
+// drain used to run to the end however early the stop came. The model the
+// stop cut off mid-replay must still answer like a fresh one.
+TEST(AttackModel, StopTokenCutsEtaReplayShort) {
+  const grid::Grid g = grid::cases::by_name("ieee57");
+  const grid::MeasurementPlan plan(g.num_lines(), g.num_buses());
+  AttackSpec spec;
+  spec.target_states = {g.num_buses() / 2};
+  spec.max_altered_measurements = 3;
+  UfdiAttackModel model(g, plan, spec);
+  smt::SatOptions slow;
+  slow.random_branch_permil = 50;
+  slow.default_phase = true;
+  slow.seed = 0x9e3779b97f4a7c15ull;
+  model.set_solver_options(slow);
+
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> stop{false};
+  Clock::time_point stoppedAt{};
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    stoppedAt = Clock::now();
+    stop.store(true);
+  });
+  smt::Budget budget;
+  budget.stop = &stop;
+  const VerificationResult r = model.verify(budget);
+  const Clock::time_point returned = Clock::now();
+  stopper.join();
+  EXPECT_EQ(r.result, SolveResult::Unknown);
+  EXPECT_LT(returned - stoppedAt, std::chrono::milliseconds(40));
+
+  UfdiAttackModel fresh(g, plan, spec);
+  const SolveResult want = fresh.verify().result;
+  ASSERT_EQ(want, SolveResult::Unsat);
+  model.set_solver_options(smt::SatOptions{});
+  EXPECT_EQ(model.verify().result, want);
 }
 
 TEST(AttackModel, DistinctChangeWithoutTargets) {

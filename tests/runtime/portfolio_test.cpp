@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -214,32 +215,47 @@ TEST(Portfolio, ExternalStopTokenCancelsTheRace) {
   EXPECT_EQ(pr.result(), smt::SolveResult::Unknown);
 }
 
+// The burn-in racers need a core each: with fewer, conquer caps them and
+// the 4-thread cases would test a smaller race.
+bool has_four_cores() { return std::thread::hardware_concurrency() >= 4; }
+
 TEST(CubeAndConquer, VerdictMatchesSerialOnAllScenarios) {
+  // One thread runs the serial burn-in; two and four race one and three
+  // ladder members against it, and any of them may decide. A tiny burn-in
+  // mostly leaves the verdict to the cube tree, the default one mostly to
+  // a racer or to the burn-in itself.
+  const std::uint64_t burnins[] = {40, runtime::CubeOptions{}.burnin_conflicts};
   for (const std::string& file : all_scenarios()) {
     core::Scenario sc = core::Scenario::load(file);
     core::UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
     core::VerificationResult serial = model.verify();
-    runtime::PortfolioOptions opt;
-    opt.num_threads = 4;
-    opt.mode = runtime::PortfolioMode::kCubeAndConquer;
-    // A tiny burn-in keeps the suite fast; correctness cannot depend on
-    // how warm the activity ranking is.
-    opt.cube.burnin_conflicts = 40;
-    // A fresh model, so the split and the cubes start cold (see above).
-    const core::UfdiAttackModel cold(sc.grid, sc.plan, sc.spec);
-    runtime::PortfolioResult pr = runtime::verify_portfolio(cold, opt);
-    EXPECT_EQ(pr.result(), serial.result) << file;
-    if (pr.result() == smt::SolveResult::Unsat && pr.cubes_generated > 0) {
-      EXPECT_EQ(pr.cubes_refuted, pr.cubes_generated) << file;
-    }
-    if (pr.result() == smt::SolveResult::Sat) {
-      ASSERT_TRUE(pr.verification.attack.has_value()) << file;
-      // A SAT cube's model is a genuine attack on the original instance:
-      // it replays undetected through the full estimation pipeline.
-      const core::AttackReplay replay =
-          core::replay_attack(sc.grid, sc.plan, *pr.verification.attack);
-      EXPECT_FALSE(replay.detected) << file;
-      EXPECT_LT(replay.stealth_gap, 1e-6) << file;
+    for (std::uint64_t burnin : burnins) {
+      for (std::size_t threads : {1, 2, 4}) {
+        if (threads == 4 && !has_four_cores()) continue;
+        const std::string at = file + " @" + std::to_string(threads) +
+                               "/" + std::to_string(burnin);
+        runtime::PortfolioOptions opt;
+        opt.num_threads = threads;
+        opt.mode = runtime::PortfolioMode::kCubeAndConquer;
+        opt.cube.burnin_conflicts = burnin;
+        // A fresh model, so the split and the cubes start cold (see above).
+        const core::UfdiAttackModel cold(sc.grid, sc.plan, sc.spec);
+        runtime::PortfolioResult pr = runtime::verify_portfolio(cold, opt);
+        EXPECT_EQ(pr.result(), serial.result) << at;
+        if (pr.result() == smt::SolveResult::Unsat) {
+          EXPECT_EQ(pr.cubes_refuted, pr.cubes_generated) << at;
+        }
+        if (pr.result() == smt::SolveResult::Sat) {
+          ASSERT_TRUE(pr.verification.attack.has_value()) << at;
+          // Whichever member found it — racer, burn-in or cube — the model
+          // is a genuine attack on the original instance: it replays
+          // undetected through the full estimation pipeline.
+          const core::AttackReplay replay = core::replay_attack(
+              sc.grid, sc.plan, *pr.verification.attack);
+          EXPECT_FALSE(replay.detected) << at;
+          EXPECT_LT(replay.stealth_gap, 1e-6) << at;
+        }
+      }
     }
   }
 }
@@ -254,6 +270,8 @@ TEST(CubeAndConquer, UnsatRequiresEveryCubeRefuted) {
   opt.num_threads = 4;
   opt.mode = runtime::PortfolioMode::kCubeAndConquer;
   opt.cube.burnin_conflicts = 40;
+  // No burn-in racers, so the cube tree decides.
+  opt.deterministic = true;
   runtime::PortfolioResult pr = runtime::verify_portfolio(model, opt);
   EXPECT_EQ(pr.result(), smt::SolveResult::Unsat);
   // Cube-tree completeness: UNSAT is only reported once every generated
@@ -290,6 +308,28 @@ TEST(CubeAndConquer, StopTokenReachesTheBurnIn) {
   EXPECT_EQ(pr.cubes_refuted, 0u);
 }
 
+// A stop raised while the split and the racers run reaches both: the split
+// runs on the calling thread, so a pool task forwards the token.
+TEST(CubeAndConquer, StopTokenRaisedMidBurnInEndsTheRace) {
+  const core::Scenario sc = refutation();
+  const core::UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
+  std::atomic<bool> stop{false};
+  runtime::PortfolioOptions opt;
+  opt.num_threads = 4;
+  opt.mode = runtime::PortfolioMode::kCubeAndConquer;
+  opt.cube.burnin_conflicts = 1'000'000;
+  opt.budget.stop = &stop;
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    stop.store(true);
+  });
+  const runtime::PortfolioResult pr = runtime::verify_portfolio(model, opt);
+  stopper.join();
+  EXPECT_EQ(pr.result(), smt::SolveResult::Unknown);
+  EXPECT_EQ(pr.cubes_generated, 0u);
+  for (const auto& m : pr.members) EXPECT_TRUE(m.cancelled) << m.label;
+}
+
 TEST(CubeAndConquer, DeadlineCoversTheBurnIn) {
   const core::Scenario sc = refutation();
   const core::UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
@@ -306,13 +346,15 @@ TEST(CubeAndConquer, DeadlineCoversTheBurnIn) {
 // The burn-in's work is part of the refutation: the joint UNSAT stats are
 // the burn-in plus every cube. The burn-in is one deterministic serial
 // search from a copy of the same unsolved model, so a direct split
-// reproduces its counts exactly.
+// reproduces its counts exactly. Deterministic mode keeps that burn-in
+// serial (no racer can preempt the tree).
 TEST(CubeAndConquer, JointStatsIncludeTheBurnIn) {
   const core::Scenario sc = refutation();
   const core::UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
   runtime::PortfolioOptions opt;
   opt.num_threads = 2;
   opt.mode = runtime::PortfolioMode::kCubeAndConquer;
+  opt.deterministic = true;
   const runtime::CubeSet split = runtime::split_cubes(model, opt.cube);
   ASSERT_GT(split.cubes.size(), 1u);
   ASSERT_GT(split.burnin.sat.conflicts, 0u);
@@ -329,6 +371,79 @@ TEST(CubeAndConquer, JointStatsIncludeTheBurnIn) {
             split.burnin.sat.conflicts + cubeConflicts);
   EXPECT_EQ(pr.verification.stats.sat.decisions,
             split.burnin.sat.decisions + cubeDecisions);
+}
+
+// With a burn-in too long to end first, the racers decide the refutation
+// (or the burn-in finishes it alone): no cube is ever cut, so an UNSAT
+// shows no open cubes, and the members are exactly the three racers.
+TEST(CubeAndConquer, RacersAnswerBeforeAnyCubeIsCut) {
+  if (!has_four_cores()) GTEST_SKIP() << "needs 4 hardware threads";
+  const core::Scenario sc = refutation();
+  const core::UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
+  runtime::PortfolioOptions opt;
+  opt.num_threads = 4;
+  opt.mode = runtime::PortfolioMode::kCubeAndConquer;
+  opt.cube.burnin_conflicts = 1'000'000;
+  const runtime::PortfolioResult pr = runtime::verify_portfolio(model, opt);
+  EXPECT_EQ(pr.result(), smt::SolveResult::Unsat);
+  EXPECT_EQ(pr.cubes_generated, 0u);
+  EXPECT_EQ(pr.cubes_refuted, 0u);
+  const auto ladder = runtime::default_portfolio(4);
+  ASSERT_EQ(pr.members.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(pr.members[i].label, ladder[i + 1].label);
+  }
+  if (pr.winner >= 0) {
+    const auto& w = pr.members[static_cast<std::size_t>(pr.winner)];
+    EXPECT_EQ(w.result, smt::SolveResult::Unsat);
+    EXPECT_FALSE(w.cancelled);
+  }
+}
+
+// A burn-in that finishes on its own answers with its own verdict and
+// witness: at one thread nobody races it, and no race fallback re-derives
+// the model (a fallback would report its members and a winner).
+TEST(CubeAndConquer, BurnInSatAnswersWithItsWitness) {
+  const core::Scenario sc = load_scenario("ieee14_objective2.scn");
+  const core::UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
+  runtime::PortfolioOptions opt;
+  opt.num_threads = 1;
+  opt.mode = runtime::PortfolioMode::kCubeAndConquer;
+  opt.cube.burnin_conflicts = 1'000'000;
+  const runtime::PortfolioResult pr = runtime::verify_portfolio(model, opt);
+  ASSERT_EQ(pr.result(), smt::SolveResult::Sat);
+  EXPECT_TRUE(pr.members.empty());
+  EXPECT_EQ(pr.winner, -1);
+  EXPECT_EQ(pr.cubes_generated, 0u);
+  ASSERT_TRUE(pr.verification.attack.has_value());
+  const core::AttackReplay replay =
+      core::replay_attack(sc.grid, sc.plan, *pr.verification.attack);
+  EXPECT_FALSE(replay.detected);
+}
+
+// Deterministic mode runs the split alone even with threads to spare: no
+// racer entries, and the cube tree's joint stats are those of a direct
+// split plus its cubes.
+TEST(CubeAndConquer, DeterministicModeKeepsTheSerialBurnIn) {
+  if (!has_four_cores()) GTEST_SKIP() << "needs 4 hardware threads";
+  const core::Scenario sc = refutation();
+  const core::UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
+  runtime::PortfolioOptions opt;
+  opt.num_threads = 4;
+  opt.mode = runtime::PortfolioMode::kCubeAndConquer;
+  opt.deterministic = true;
+  const runtime::CubeSet split = runtime::split_cubes(model, opt.cube);
+  ASSERT_GT(split.cubes.size(), 1u);
+  const runtime::PortfolioResult pr = runtime::verify_portfolio(model, opt);
+  ASSERT_EQ(pr.result(), smt::SolveResult::Unsat);
+  ASSERT_EQ(pr.members.size(), pr.cubes_generated);
+  std::uint64_t cubeConflicts = 0;
+  for (std::size_t k = 0; k < pr.members.size(); ++k) {
+    EXPECT_EQ(pr.members[k].label, "cube-" + std::to_string(k));
+    cubeConflicts += pr.members[k].stats.sat.conflicts;
+  }
+  EXPECT_EQ(pr.verification.stats.sat.conflicts,
+            split.burnin.sat.conflicts + cubeConflicts);
 }
 
 // The warm fork's concurrency contract: four threads clone one const,

@@ -3,6 +3,7 @@
 // the runtime label).
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -72,6 +73,27 @@ TEST(SessionCache, ConcurrentLeasesOfOneFamilyGrowSessions) {
   SolverSessionCache::Lease b = cache.acquire(key, sc);  // a still out
   EXPECT_FALSE(a.hit());
   EXPECT_FALSE(b.hit());
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+// Move-assigning onto a live lease checks the overwritten session back in
+// instead of destroying it, so both encoded sessions stay reusable.
+TEST(SessionCache, MoveAssignmentChecksTheTargetIn) {
+  SolverSessionCache cache;
+  const core::Scenario sc = objective2();
+  const std::uint64_t key = family_of(sc);
+  {
+    SolverSessionCache::Lease a = cache.acquire(key, sc);
+    SolverSessionCache::Lease b = cache.acquire(key, sc);
+    a = std::move(b);
+    EXPECT_TRUE(a.valid());
+    EXPECT_EQ(cache.stats().idle_sessions, 1u);
+  }
+  EXPECT_EQ(cache.stats().idle_sessions, 2u);
+  SolverSessionCache::Lease c = cache.acquire(key, sc);
+  SolverSessionCache::Lease d = cache.acquire(key, sc);
+  EXPECT_TRUE(c.hit());
+  EXPECT_TRUE(d.hit());
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
