@@ -129,6 +129,29 @@ void BM_RationalNormalizeCanonical(benchmark::State& state) {
 }
 BENCHMARK(BM_RationalNormalizeCanonical)->Arg(0)->Arg(1);
 
+// Row merge over Rational terms: the simplex row-elimination step
+// (LinExpr::add_scaled into a recycled scratch buffer), which moves every
+// term of the row through the merge. Arg = terms per row; the rows share
+// every other variable, so half the merge fuses coefficients and half
+// copies them. Each iteration adds k*rhs and then -k*rhs, which restores
+// the row exactly.
+void BM_LinExprAddScaled(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  smt::LinExpr row, rhs;
+  for (int i = 0; i < n; ++i) {
+    row.add_term(2 * i, smt::Rational(3 + i, 7));
+    rhs.add_term(2 * i + (i % 2), smt::Rational(-5 - i, 11));
+  }
+  const smt::Rational k(13, 17), minusK(-13, 17);
+  std::vector<std::pair<smt::TVar, smt::Rational>> scratch;
+  for (auto _ : state) {
+    row.add_scaled(rhs, k, scratch);
+    row.add_scaled(rhs, minusK, scratch);
+    benchmark::DoNotOptimize(row);
+  }
+}
+BENCHMARK(BM_LinExprAddScaled)->Arg(16)->Arg(64);
+
 void BM_SatRandom3Sat(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

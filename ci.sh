@@ -229,7 +229,7 @@ if command -v python3 >/dev/null 2>&1; then
     exit 1
   fi
   "${micro}" --json --benchmark_min_time=0.01 \
-      --benchmark_filter='BM_SimplexCheckFeasibility|BM_TheoryPropagation|BM_SimplexFloatFilter|BM_LpScreen|BM_SimplexFactorUpdate|BM_Ftran|BM_RationalNormalizeCanonical' \
+      --benchmark_filter='BM_SimplexCheckFeasibility|BM_TheoryPropagation|BM_SimplexFloatFilter|BM_LpScreen|BM_SimplexFactorUpdate|BM_Ftran|BM_RationalNormalizeCanonical|BM_LinExprAddScaled' \
     2>/dev/null | python3 -c '
 import json, sys
 d = json.load(sys.stdin)  # exactly one JSON object on stdout
@@ -242,7 +242,8 @@ for want in ("BM_SimplexCheckFeasibility/0", "BM_SimplexCheckFeasibility/1",
              "BM_SimplexFactorUpdate/0", "BM_SimplexFactorUpdate/1",
              "BM_Ftran/4", "BM_Ftran/64", "BM_Ftran/1024",
              "BM_RationalNormalizeCanonical/0",
-             "BM_RationalNormalizeCanonical/1"):
+             "BM_RationalNormalizeCanonical/1",
+             "BM_LinExprAddScaled/16", "BM_LinExprAddScaled/64"):
     assert any(n.startswith(want) for n in names), f"missing {want}"
 print(f"ci: micro_smt JSON OK ({len(names)} benchmarks)")
 '

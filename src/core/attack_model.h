@@ -203,6 +203,10 @@ class UfdiAttackModel {
   [[nodiscard]] smt::SolverStats solver_stats() const {
     return solver_.stats();
   }
+  /// The encoded term DAG (read-only).
+  [[nodiscard]] const smt::TermManager& terms() const {
+    return solver_.terms();
+  }
 
  private:
   /// Member-wise copy behind clone(), which then detaches tracing.

@@ -169,13 +169,13 @@ void divmod32(std::vector<u32> num, std::vector<u32> den,
 // and unmodified for the view's lifetime.
 struct BigInt::MagView {
   explicit MagView(const BigInt& v) {
-    if (v.inline_) {
+    if (v.big_ == nullptr) {
       if (v.small_ != 0) own_.push_back(mag64(v.small_));
       p_ = &own_;
       neg_ = v.small_ < 0;
     } else {
-      p_ = &v.limbs_;
-      neg_ = v.negative_;
+      p_ = &v.big_->mag;
+      neg_ = v.big_->negative;
     }
   }
   MagView(const MagView&) = delete;
@@ -212,39 +212,46 @@ BigInt BigInt::from_string(std::string_view s) {
 }
 
 void BigInt::promote() {
-  PSSE_ASSERT(inline_);
+  PSSE_ASSERT(big_ == nullptr);
   ++g_promotions;
-  negative_ = small_ < 0;
-  limbs_.clear();
-  if (small_ != 0) limbs_.push_back(mag64(small_));
+  big_ = std::make_unique<Limbs>(Limbs{small_ < 0, {}});
+  if (small_ != 0) big_->mag.push_back(mag64(small_));
   small_ = 0;
-  inline_ = false;
 }
 
-void BigInt::trim() {
-  PSSE_ASSERT(!inline_);
-  while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
-  if (limbs_.empty()) {
-    inline_ = true;
-    small_ = 0;
-    negative_ = false;
-    return;
+namespace {
+
+// Strips trailing zero limbs; then, if the signed value fits int64_t,
+// stores it in `out` and returns true.
+bool fits_inline(std::vector<u64>& mag, bool neg, std::int64_t& out) {
+  while (!mag.empty() && mag.back() == 0) mag.pop_back();
+  if (mag.empty()) {
+    out = 0;
+    return true;
   }
-  if (limbs_.size() != 1) return;
-  const u64 m = limbs_[0];
-  if (!negative_ &&
-      m <= static_cast<u64>(std::numeric_limits<std::int64_t>::max())) {
-    small_ = static_cast<std::int64_t>(m);
-  } else if (negative_ && m <= (static_cast<u64>(1) << 63)) {
+  if (mag.size() != 1) return false;
+  const u64 m = mag[0];
+  if (!neg && m <= static_cast<u64>(std::numeric_limits<std::int64_t>::max())) {
+    out = static_cast<std::int64_t>(m);
+    return true;
+  }
+  if (neg && m <= (static_cast<u64>(1) << 63)) {
     // Two's complement conversion is well-defined in C++20; m == 2^63
     // maps to INT64_MIN.
-    small_ = static_cast<std::int64_t>(~m + 1);
-  } else {
-    return;  // genuinely needs limb form
+    out = static_cast<std::int64_t>(~m + 1);
+    return true;
   }
-  inline_ = true;
-  limbs_.clear();  // capacity retained; heap_bytes() accounts for it
-  negative_ = false;
+  return false;  // genuinely needs limb form
+}
+
+}  // namespace
+
+void BigInt::trim() {
+  PSSE_ASSERT(big_ != nullptr);
+  std::int64_t v;
+  if (!fits_inline(big_->mag, big_->negative, v)) return;
+  big_.reset();
+  small_ = v;
 }
 
 BigInt BigInt::from_u64_mag(u64 m) {
@@ -252,37 +259,32 @@ BigInt BigInt::from_u64_mag(u64 m) {
     return BigInt(static_cast<std::int64_t>(m));
   }
   BigInt out;
-  out.inline_ = false;
-  out.negative_ = false;
-  out.limbs_.push_back(m);
+  out.big_ = std::make_unique<Limbs>(Limbs{false, {m}});
   return out;
 }
 
 BigInt BigInt::from_mag(std::vector<u64> mag, bool neg) {
   BigInt out;
-  out.inline_ = false;
-  out.negative_ = neg;
-  out.limbs_ = std::move(mag);
-  out.trim();
+  if (!fits_inline(mag, neg, out.small_)) {
+    out.big_ = std::make_unique<Limbs>(Limbs{neg, std::move(mag)});
+  }
   return out;
 }
 
 void BigInt::negate() {
-  if (inline_) {
+  if (big_ == nullptr) {
     if (small_ != std::numeric_limits<std::int64_t>::min()) {
       small_ = -small_;
       return;
     }
     // |INT64_MIN| does not fit inline: promote to a one-limb magnitude.
     ++g_promotions;
-    inline_ = false;
+    big_ = std::make_unique<Limbs>(Limbs{false, {static_cast<u64>(1) << 63}});
     small_ = 0;
-    negative_ = false;
-    limbs_.assign(1, static_cast<u64>(1) << 63);
     return;
   }
-  negative_ = !negative_;  // limb form is never zero
-  if (limbs_.size() == 1) trim();  // -2^63 demotes back to inline
+  big_->negative = !big_->negative;  // limb form is never zero
+  if (big_->mag.size() == 1) trim();  // -2^63 demotes back to inline
 }
 
 int BigInt::cmp_mag(const std::vector<u64>& a, const std::vector<u64>& b) {
@@ -360,22 +362,22 @@ BigInt& BigInt::add_slow(const BigInt& rhs) {
     BigInt copy = rhs;
     return add_slow(copy);
   }
-  if (inline_) promote();
+  if (big_ == nullptr) promote();
   const MagView rb(rhs);
-  if (negative_ == rb.neg()) {
-    add_mag(limbs_, rb.mag());
+  Limbs& l = *big_;
+  if (l.negative == rb.neg()) {
+    add_mag(l.mag, rb.mag());
   } else {
-    int cmp = cmp_mag(limbs_, rb.mag());
+    int cmp = cmp_mag(l.mag, rb.mag());
     if (cmp == 0) {
-      limbs_.clear();
-      negative_ = false;
+      l.mag.clear();
     } else if (cmp > 0) {
-      sub_mag(limbs_, rb.mag());
+      sub_mag(l.mag, rb.mag());
     } else {
       std::vector<u64> tmp = rb.mag();
-      sub_mag(tmp, limbs_);
-      limbs_ = std::move(tmp);
-      negative_ = rb.neg();
+      sub_mag(tmp, l.mag);
+      l.mag = std::move(tmp);
+      l.negative = rb.neg();
     }
   }
   trim();
@@ -390,35 +392,34 @@ BigInt& BigInt::mul_slow(const BigInt& rhs) {
     BigInt copy = rhs;
     return mul_slow(copy);
   }
-  if (inline_) promote();
+  if (big_ == nullptr) promote();
   const MagView rb(rhs);
-  negative_ = negative_ != rhsNeg;
-  limbs_ = mul_mag(limbs_, rb.mag());
+  big_->negative = big_->negative != rhsNeg;
+  big_->mag = mul_mag(big_->mag, rb.mag());
   trim();
   return *this;
 }
 
 BigInt& BigInt::div_slow(const BigInt& rhs) {
   PSSE_CHECK(!rhs.is_zero(), "BigInt: division by zero");
-  if (inline_) promote();
+  if (big_ == nullptr) promote();
   const MagView rb(rhs);
   std::vector<u64> quot, rem;
-  divmod_mag(limbs_, rb.mag(), quot, rem);
-  negative_ = !quot.empty() && (negative_ != rb.neg());
-  limbs_ = std::move(quot);
+  divmod_mag(big_->mag, rb.mag(), quot, rem);
+  big_->negative = big_->negative != rb.neg();
+  big_->mag = std::move(quot);
   trim();
   return *this;
 }
 
 BigInt& BigInt::mod_slow(const BigInt& rhs) {
   PSSE_CHECK(!rhs.is_zero(), "BigInt: modulo by zero");
-  if (inline_) promote();
+  if (big_ == nullptr) promote();
   const MagView rb(rhs);
   std::vector<u64> quot, rem;
-  divmod_mag(limbs_, rb.mag(), quot, rem);
+  divmod_mag(big_->mag, rb.mag(), quot, rem);
   // Remainder takes the dividend's sign (truncated division).
-  negative_ = !rem.empty() && negative_;
-  limbs_ = std::move(rem);
+  big_->mag = std::move(rem);
   trim();
   return *this;
 }
@@ -426,7 +427,7 @@ BigInt& BigInt::mod_slow(const BigInt& rhs) {
 void BigInt::div_mod(const BigInt& num, const BigInt& den, BigInt& quot,
                      BigInt& rem) {
   PSSE_CHECK(!den.is_zero(), "BigInt: division by zero");
-  if (num.inline_ && den.inline_) {
+  if (num.big_ == nullptr && den.big_ == nullptr) {
     const std::int64_t n = num.small_;
     const std::int64_t d = den.small_;
     if (!(n == std::numeric_limits<std::int64_t>::min() && d == -1)) {
@@ -455,20 +456,20 @@ std::strong_ordering BigInt::cmp_slow(const BigInt& a, const BigInt& b) {
   // At least one operand is in limb form; canonical form guarantees its
   // magnitude exceeds every inline value, so mixed compares are decided by
   // the limb operand's sign.
-  if (a.inline_ != b.inline_) {
-    if (!a.inline_) {
-      return a.negative_ ? std::strong_ordering::less
-                         : std::strong_ordering::greater;
-    }
-    return b.negative_ ? std::strong_ordering::greater
-                       : std::strong_ordering::less;
+  if (b.big_ == nullptr) {
+    return a.big_->negative ? std::strong_ordering::less
+                            : std::strong_ordering::greater;
   }
-  if (a.negative_ != b.negative_) {
-    return a.negative_ ? std::strong_ordering::less
-                       : std::strong_ordering::greater;
+  if (a.big_ == nullptr) {
+    return b.big_->negative ? std::strong_ordering::greater
+                            : std::strong_ordering::less;
   }
-  int cmp = cmp_mag(a.limbs_, b.limbs_);
-  if (a.negative_) cmp = -cmp;
+  if (a.big_->negative != b.big_->negative) {
+    return a.big_->negative ? std::strong_ordering::less
+                            : std::strong_ordering::greater;
+  }
+  int cmp = cmp_mag(a.big_->mag, b.big_->mag);
+  if (a.big_->negative) cmp = -cmp;
   if (cmp < 0) return std::strong_ordering::less;
   if (cmp > 0) return std::strong_ordering::greater;
   return std::strong_ordering::equal;
@@ -643,22 +644,23 @@ int BigInt::reference_cmp(const BigInt& a, const BigInt& b) {
 }
 
 std::int64_t BigInt::to_int64() const {
-  PSSE_CHECK(inline_, "BigInt::to_int64: value out of range");
+  PSSE_CHECK(big_ == nullptr, "BigInt::to_int64: value out of range");
   return small_;
 }
 
 double BigInt::to_double() const {
-  if (inline_) return static_cast<double>(small_);
+  if (big_ == nullptr) return static_cast<double>(small_);
+  const std::vector<u64>& mag = big_->mag;
   double out = 0.0;
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
-    out = out * 18446744073709551616.0 + static_cast<double>(limbs_[i]);
+  for (std::size_t i = mag.size(); i-- > 0;) {
+    out = out * 18446744073709551616.0 + static_cast<double>(mag[i]);
   }
-  return negative_ ? -out : out;
+  return big_->negative ? -out : out;
 }
 
 std::string BigInt::to_string() const {
-  if (inline_) return std::to_string(small_);
-  std::vector<u32> mag = to32(limbs_);
+  if (big_ == nullptr) return std::to_string(small_);
+  std::vector<u32> mag = to32(big_->mag);
   std::string digits;
   // Repeatedly divide by 10^9 and emit 9 decimal digits at a time.
   while (!mag.empty()) {
@@ -675,14 +677,15 @@ std::string BigInt::to_string() const {
     }
   }
   while (digits.size() > 1 && digits.back() == '0') digits.pop_back();
-  if (negative_) digits.push_back('-');
+  if (big_->negative) digits.push_back('-');
   std::reverse(digits.begin(), digits.end());
   return digits;
 }
 
 std::size_t BigInt::limb_hash() const {
-  std::uint64_t h = negative_ ? 0x2545f4914f6cdd1dULL : 0x9e3779b97f4a7c15ULL;
-  for (u64 limb : limbs_) h = mix_hash(h ^ limb);
+  std::uint64_t h =
+      big_->negative ? 0x2545f4914f6cdd1dULL : 0x9e3779b97f4a7c15ULL;
+  for (u64 limb : big_->mag) h = mix_hash(h ^ limb);
   return static_cast<std::size_t>(h);
 }
 

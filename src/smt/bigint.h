@@ -4,23 +4,31 @@
 // growth during pivoting routinely overflows 64-bit (and even 128-bit)
 // integers, so rationals are backed by this BigInt. Most values never get
 // there, though: admittances are small decimals and gcd-normalised
-// coefficients stay short, so the representation is *tagged*:
+// coefficients stay short, so the representation is two words:
 //
-//   - inline:  a single std::int64_t stored in-object (`small_`). No heap.
-//   - limbs:   sign + little-endian magnitude in 64-bit limbs, used only
-//              when the value does not fit in int64_t.
+//   - inline:  `big_ == nullptr` and the value is `small_`. No heap.
+//   - limbs:   `big_` owns one heap block holding the sign and the
+//              little-endian magnitude in 64-bit limbs, used only when the
+//              value does not fit in int64_t (`small_` is then 0).
+//
+// sizeof(BigInt) is 16, so a Rational is 32 bytes and a DeltaRational 64:
+// every tableau row, bound, cache entry and term atom pays two words per
+// exact value that fits int64_t.
 //
 // Canonical-form invariants (maintained by every operation, so equality is
 // structural and representation is unique per value):
 //   - a value is inline if and only if it fits in int64_t (INT64_MIN and
 //     INT64_MAX inclusive); zero is always inline (small_ == 0);
-//   - in limb form the magnitude has no trailing zero limbs and
-//     `negative_` carries the sign (a limb-form value is never zero).
+//   - in limb form the magnitude has no trailing zero limbs and the block's
+//     `negative` carries the sign (a limb-form value is never zero).
 // Operations promote to limb form only on native overflow (detected with
-// __builtin_*_overflow) and demote back on trim, so the hot small×small
-// add/sub/mul/divmod/gcd paths are pure register arithmetic with zero
-// allocations. The schoolbook limb routines remain the big-value backend
-// and are exposed as reference_* entry points for differential testing.
+// __builtin_*_overflow) and demote back on trim, which frees the block, so
+// the hot small×small add/sub/mul/divmod/gcd paths are pure register
+// arithmetic with zero allocations. A copy of a big value allocates its own
+// block; moves steal the block and never throw, so containers of
+// Rationals relocate by move. The schoolbook limb routines remain the
+// big-value backend and are exposed as reference_* entry points for
+// differential testing.
 #pragma once
 
 #include <bit>
@@ -28,6 +36,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,6 +57,26 @@ class BigInt {
   BigInt() = default;
   /// From a native signed integer (inline, no allocation).
   BigInt(std::int64_t v) : small_(v) {}  // NOLINT(google-explicit-constructor): numeric literal interop is intended.
+  /// Copies allocate a block only for a big value.
+  BigInt(const BigInt& o)
+      : small_(o.small_),
+        big_(o.big_ == nullptr ? nullptr : std::make_unique<Limbs>(*o.big_)) {}
+  BigInt& operator=(const BigInt& o) {
+    if (o.big_ == nullptr) {
+      big_.reset();
+      small_ = o.small_;
+    } else if (big_ == nullptr) {
+      big_ = std::make_unique<Limbs>(*o.big_);
+      small_ = 0;
+    } else {
+      *big_ = *o.big_;  // reuses this block; safe on self-assignment
+    }
+    return *this;
+  }
+  /// Moves take the block and never throw; a big source is left inline 0
+  /// (its small_ is 0). Self-move keeps the value.
+  BigInt(BigInt&&) noexcept = default;
+  BigInt& operator=(BigInt&&) noexcept = default;
 
   /// Parses an optionally signed decimal string. Throws SmtError on
   /// malformed input (empty, non-digits).
@@ -55,27 +84,27 @@ class BigInt {
 
   /// True iff the value is stored inline (fits int64_t; canonical form
   /// guarantees the converse too).
-  [[nodiscard]] bool is_inline() const { return inline_; }
+  [[nodiscard]] bool is_inline() const { return big_ == nullptr; }
   /// Unchecked inline value; requires is_inline().
   [[nodiscard]] std::int64_t inline_value() const { return small_; }
 
   /// True iff the value is zero.
-  [[nodiscard]] bool is_zero() const { return inline_ && small_ == 0; }
+  [[nodiscard]] bool is_zero() const { return big_ == nullptr && small_ == 0; }
   /// True iff the value is strictly negative.
   [[nodiscard]] bool is_negative() const {
-    return inline_ ? small_ < 0 : negative_;
+    return big_ == nullptr ? small_ < 0 : big_->negative;
   }
   /// True iff the value is one.
-  [[nodiscard]] bool is_one() const { return inline_ && small_ == 1; }
+  [[nodiscard]] bool is_one() const { return big_ == nullptr && small_ == 1; }
   /// Sign as -1, 0, or +1.
   [[nodiscard]] int sign() const {
-    if (inline_) return small_ == 0 ? 0 : (small_ < 0 ? -1 : 1);
-    return negative_ ? -1 : 1;
+    if (big_ == nullptr) return small_ == 0 ? 0 : (small_ < 0 ? -1 : 1);
+    return big_->negative ? -1 : 1;
   }
 
   /// True iff the value fits in int64_t (equivalent to is_inline() in
   /// canonical form).
-  [[nodiscard]] bool fits_int64() const { return inline_; }
+  [[nodiscard]] bool fits_int64() const { return big_ == nullptr; }
   /// Value as int64_t; requires fits_int64().
   [[nodiscard]] std::int64_t to_int64() const;
   /// Closest double (may lose precision; infinities on overflow).
@@ -85,19 +114,22 @@ class BigInt {
   /// Hash of the canonical representation — the inline value, or the sign
   /// plus the limbs — so equal values hash equal (the form is unique).
   [[nodiscard]] std::size_t hash() const {
-    return inline_ ? mix_hash(static_cast<std::uint64_t>(small_))
-                   : limb_hash();
+    return big_ == nullptr ? mix_hash(static_cast<std::uint64_t>(small_))
+                           : limb_hash();
   }
 
-  /// Number of heap-allocated 64-bit limbs in use (0 when the value is
-  /// stored inline). Used by the memory accounting in bench/table4_memory.
+  /// Number of 64-bit limbs in the magnitude (0 when the value is stored
+  /// inline). A property of the value alone: equal values have equal
+  /// counts however they were built.
   [[nodiscard]] std::size_t limb_count() const {
-    return inline_ ? 0 : limbs_.size();
+    return big_ == nullptr ? 0 : big_->mag.size();
   }
-  /// Heap bytes owned by this value (limb buffer capacity; 0 unless the
-  /// value has ever been promoted). The honest Table IV quantity.
+  /// Heap bytes owned by this value: the block and its limb buffer's
+  /// capacity, 0 while inline. The honest Table IV quantity.
   [[nodiscard]] std::size_t heap_bytes() const {
-    return limbs_.capacity() * sizeof(std::uint64_t);
+    return big_ == nullptr
+               ? 0
+               : sizeof(Limbs) + big_->mag.capacity() * sizeof(std::uint64_t);
   }
 
   /// In-place negation (no allocation except at the INT64_MIN edge).
@@ -114,7 +146,7 @@ class BigInt {
   }
 
   BigInt& operator+=(const BigInt& rhs) {
-    if (inline_ && rhs.inline_) {
+    if (big_ == nullptr && rhs.big_ == nullptr) {
       std::int64_t r;
       if (!__builtin_add_overflow(small_, rhs.small_, &r)) {
         small_ = r;
@@ -124,7 +156,7 @@ class BigInt {
     return add_slow(rhs);
   }
   BigInt& operator-=(const BigInt& rhs) {
-    if (inline_ && rhs.inline_) {
+    if (big_ == nullptr && rhs.big_ == nullptr) {
       std::int64_t r;
       if (!__builtin_sub_overflow(small_, rhs.small_, &r)) {
         small_ = r;
@@ -134,7 +166,7 @@ class BigInt {
     return sub_slow(rhs);
   }
   BigInt& operator*=(const BigInt& rhs) {
-    if (inline_ && rhs.inline_) {
+    if (big_ == nullptr && rhs.big_ == nullptr) {
       std::int64_t r;
       if (!__builtin_mul_overflow(small_, rhs.small_, &r)) {
         small_ = r;
@@ -146,7 +178,7 @@ class BigInt {
   /// Truncated division (C++ semantics: quotient rounds toward zero).
   /// Throws SmtError on division by zero.
   BigInt& operator/=(const BigInt& rhs) {
-    if (inline_ && rhs.inline_ && rhs.small_ != 0 &&
+    if (big_ == nullptr && rhs.big_ == nullptr && rhs.small_ != 0 &&
         !(small_ == std::numeric_limits<std::int64_t>::min() &&
           rhs.small_ == -1)) {
       small_ /= rhs.small_;
@@ -156,7 +188,7 @@ class BigInt {
   }
   /// Remainder matching truncated division: (a/b)*b + a%b == a.
   BigInt& operator%=(const BigInt& rhs) {
-    if (inline_ && rhs.inline_ && rhs.small_ != 0 &&
+    if (big_ == nullptr && rhs.big_ == nullptr && rhs.small_ != 0 &&
         !(small_ == std::numeric_limits<std::int64_t>::min() &&
           rhs.small_ == -1)) {
       small_ %= rhs.small_;
@@ -172,12 +204,14 @@ class BigInt {
   friend BigInt operator%(BigInt a, const BigInt& b) { return a %= b; }
 
   friend bool operator==(const BigInt& a, const BigInt& b) {
-    if (a.inline_ != b.inline_) return false;  // canonical form is unique
-    if (a.inline_) return a.small_ == b.small_;
-    return a.negative_ == b.negative_ && a.limbs_ == b.limbs_;
+    if (a.big_ == nullptr || b.big_ == nullptr) {
+      // Canonical form is unique: an inline value never equals a big one.
+      return a.big_ == b.big_ && a.small_ == b.small_;
+    }
+    return a.big_->negative == b.big_->negative && a.big_->mag == b.big_->mag;
   }
   friend std::strong_ordering operator<=>(const BigInt& a, const BigInt& b) {
-    if (a.inline_ && b.inline_) return a.small_ <=> b.small_;
+    if (a.big_ == nullptr && b.big_ == nullptr) return a.small_ <=> b.small_;
     return cmp_slow(a, b);
   }
 
@@ -186,7 +220,7 @@ class BigInt {
   /// division-based Euclid chain even at u64 width, and gcd dominates
   /// Rational::normalize on the pivot hot path.
   static BigInt gcd(const BigInt& a, const BigInt& b) {
-    if (a.inline_ && b.inline_) {
+    if (a.big_ == nullptr && b.big_ == nullptr) {
       std::uint64_t x = mag64(a.small_);
       std::uint64_t y = mag64(b.small_);
       if (x == 0) return from_u64_mag(y);
@@ -222,6 +256,11 @@ class BigInt {
   friend std::ostream& operator<<(std::ostream& os, const BigInt& v);
 
  private:
+  // The heap block of a big value: sign and little-endian magnitude.
+  struct Limbs {
+    bool negative = false;
+    std::vector<std::uint64_t> mag;
+  };
   struct MagView;  // sign-magnitude view of either representation
 
   // Magnitude of a signed 64-bit value without UB at INT64_MIN.
@@ -274,14 +313,12 @@ class BigInt {
   // form so the magnitude routines can run on it.
   void promote();
   // Restores canonical form after limb-form surgery: strips trailing zero
-  // limbs and demotes to inline when the value fits int64_t (the limb
-  // buffer's capacity is kept to avoid churn; heap_bytes() reports it).
+  // limbs and demotes to inline, freeing the block, when the value fits
+  // int64_t.
   void trim();
 
-  std::int64_t small_ = 0;  // the value, when inline_
-  bool inline_ = true;
-  bool negative_ = false;                // sign, when !inline_
-  std::vector<std::uint64_t> limbs_;     // little-endian magnitude, when !inline_
+  std::int64_t small_ = 0;       // the value when big_ is null, else 0
+  std::unique_ptr<Limbs> big_;  // non-null iff the value needs limbs
 };
 
 }  // namespace psse::smt

@@ -107,12 +107,14 @@ class Rational {
   /// limbs with one multiply-add each (<= 2L+1 roundings, each <= eps/2
   /// relative), inline values cast in one rounding, and the final division
   /// adds one more — so relative error <= (4 + 2*(Ln+Ld)) * eps is a safe
-  /// envelope on both components and the quotient. Overflow to inf yields
-  /// an inf error bound, which consumers read as "never provably ordered".
+  /// envelope on both components and the quotient. L is the limb count of
+  /// the value itself, so equal values get equal bounds however they were
+  /// built. Overflow to inf yields an inf error bound, which consumers read
+  /// as "never provably ordered".
   [[nodiscard]] DoubleApprox approx() const {
     const double v = to_double();
-    const double limbs = static_cast<double>(
-        (num_.heap_bytes() + den_.heap_bytes()) / sizeof(std::uint64_t));
+    const double limbs =
+        static_cast<double>(num_.limb_count() + den_.limb_count());
     const double rel = DoubleApprox::kEps * (4.0 + 2.0 * limbs);
     const double mag = v < 0 ? -v : v;
     return {v, mag * rel + DoubleApprox::kEta};

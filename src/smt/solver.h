@@ -107,6 +107,7 @@ class Solver final : private TheoryClient {
 
   /// Term builder (owned by the solver).
   [[nodiscard]] TermManager& terms() { return terms_; }
+  [[nodiscard]] const TermManager& terms() const { return terms_; }
 
   /// Reconfigures the CDCL search heuristics (portfolio diversification).
   void set_sat_options(const SatOptions& options) {

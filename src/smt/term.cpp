@@ -28,6 +28,16 @@ std::size_t node_hash(const TermNode& n) {
   return h;
 }
 
+std::size_t node_bytes(const TermNode& n) {
+  std::size_t bytes = sizeof(TermNode);
+  bytes += n.children.capacity() * sizeof(TermRef);
+  bytes += n.name.capacity();
+  for (const auto& [v, coeff] : n.expr.terms()) {
+    bytes += sizeof(std::pair<TVar, Rational>) + coeff.footprint_bytes();
+  }
+  return bytes;
+}
+
 bool node_equal(const TermNode& a, const TermNode& b) {
   if (a.kind != b.kind) return false;
   switch (a.kind) {
@@ -49,10 +59,21 @@ bool node_equal(const TermNode& a, const TermNode& b) {
 TermManager::TermManager() {
   // Node 0 is the constant `true`.
   nodes_.push_back(TermNode{TermKind::True, {}, {}, {}, {}});
+  footprint_bytes_ = node_bytes(nodes_.back());
+}
+
+TermManager::TermManager(const TermManager& other)
+    : nodes_(other.nodes_),
+      buckets_(other.buckets_),
+      real_names_(other.real_names_),
+      next_real_(other.next_real_) {
+  // Copied buffers need not keep their source's capacities.
+  footprint_bytes_ = walk_footprint_bytes();
 }
 
 TermRef TermManager::intern(TermNode node, std::size_t hash) {
-  auto& bucket = buckets_[hash];
+  auto [it, fresh] = buckets_.try_emplace(hash);
+  std::vector<std::int32_t>& bucket = it->second;
   for (std::int32_t idx : bucket) {
     if (node_equal(nodes_[static_cast<std::size_t>(idx)], node)) {
       return TermRef::node(idx);
@@ -60,13 +81,18 @@ TermRef TermManager::intern(TermNode node, std::size_t hash) {
   }
   std::int32_t idx = static_cast<std::int32_t>(nodes_.size());
   nodes_.push_back(std::move(node));
+  const std::size_t bucketCapacity = bucket.capacity();
   bucket.push_back(idx);
+  footprint_bytes_ +=
+      node_bytes(nodes_.back()) + (fresh ? sizeof(std::size_t) : 0) +
+      (bucket.capacity() - bucketCapacity) * sizeof(std::int32_t);
   return TermRef::node(idx);
 }
 
 TermRef TermManager::mk_bool(std::string name) {
   std::int32_t idx = static_cast<std::int32_t>(nodes_.size());
   nodes_.push_back(TermNode{TermKind::BoolVar, {}, std::move(name), {}, {}});
+  footprint_bytes_ += node_bytes(nodes_.back());
   return TermRef::node(idx);
 }
 
@@ -74,6 +100,7 @@ TVar TermManager::mk_real(std::string name) {
   TVar v = next_real_++;
   real_names_.push_back(name.empty() ? "x" + std::to_string(v)
                                      : std::move(name));
+  footprint_bytes_ += real_names_.back().capacity();
   return v;
 }
 
@@ -150,19 +177,13 @@ TermRef TermManager::mk_lt(const LinExpr& e, const Rational& c) {
   return mk_atom(TermKind::AtomLt, e, c);
 }
 
-std::size_t TermManager::footprint_bytes() const {
+std::size_t TermManager::walk_footprint_bytes() const {
   std::size_t bytes = 0;
-  for (const TermNode& n : nodes_) {
-    bytes += sizeof(TermNode);
-    bytes += n.children.capacity() * sizeof(TermRef);
-    bytes += n.name.capacity();
-    for (const auto& [v, coeff] : n.expr.terms()) {
-      bytes += sizeof(std::pair<TVar, Rational>) + coeff.footprint_bytes();
-    }
-  }
+  for (const TermNode& n : nodes_) bytes += node_bytes(n);
   for (const auto& [h, bucket] : buckets_) {
     bytes += sizeof(std::size_t) + bucket.capacity() * sizeof(std::int32_t);
   }
+  for (const std::string& name : real_names_) bytes += name.capacity();
   return bytes;
 }
 

@@ -62,7 +62,7 @@ class TermManager {
   TermManager();
   /// A deep copy: the same nodes under the same TermRefs (clones rely on
   /// this; see Solver's copy constructor).
-  TermManager(const TermManager&) = default;
+  TermManager(const TermManager& other);
   TermManager& operator=(const TermManager&) = delete;
 
   /// The constant true/false terms.
@@ -109,7 +109,13 @@ class TermManager {
     return nodes_[static_cast<std::size_t>(t.index())];
   }
   [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
-  [[nodiscard]] std::size_t footprint_bytes() const;
+  /// Bytes held by the DAG: nodes with their children, names and atom
+  /// coefficients, the hash buckets and the real-variable names. Nodes
+  /// never change once made, so this is a running total kept where they
+  /// are made (O(1); Solver::stats() reads it after every solve).
+  [[nodiscard]] std::size_t footprint_bytes() const { return footprint_bytes_; }
+  /// The same quantity by a walk over every node, bucket and name (O(size)).
+  [[nodiscard]] std::size_t walk_footprint_bytes() const;
 
   /// Pretty-printer for diagnostics.
   [[nodiscard]] std::string to_string(TermRef t) const;
@@ -123,6 +129,7 @@ class TermManager {
   std::unordered_map<std::size_t, std::vector<std::int32_t>> buckets_;
   std::vector<std::string> real_names_;
   TVar next_real_ = 0;
+  std::size_t footprint_bytes_ = 0;
 };
 
 }  // namespace psse::smt

@@ -48,6 +48,28 @@ TEST(ModelClone, UnsolvedCloneSearchesLikeAFreshEncode) {
   }
 }
 
+// The term DAG keeps its byte footprint as a running total; it must equal
+// a walk over the DAG after encoding, after a solve and in a clone, whose
+// copied buffers need not keep their source's capacities.
+TEST(ModelClone, TermFootprintRunningTotalMatchesAWalk) {
+  for (const std::string& file : all_scenarios()) {
+    const Scenario sc = Scenario::load(file);
+    UfdiAttackModel model(sc.grid, sc.plan, sc.spec);
+    EXPECT_EQ(model.terms().footprint_bytes(),
+              model.terms().walk_footprint_bytes())
+        << file;
+    (void)model.verify();
+    EXPECT_EQ(model.terms().footprint_bytes(),
+              model.terms().walk_footprint_bytes())
+        << file;
+    const std::unique_ptr<UfdiAttackModel> clone = model.clone();
+    EXPECT_EQ(clone->terms().footprint_bytes(),
+              clone->terms().walk_footprint_bytes())
+        << file;
+    EXPECT_GT(clone->terms().footprint_bytes(), 0u) << file;
+  }
+}
+
 TEST(ModelClone, WarmCloneKeepsLearntStateAndLeavesTheSourceAlone) {
   const Scenario sc =
       Scenario::load(std::string(PSSE_DATA_DIR) + "/ieee118_refute.scn");

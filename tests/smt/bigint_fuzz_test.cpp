@@ -98,6 +98,75 @@ TEST(BigIntFuzz, GcdAndCompareAgreeWithLimbReference) {
   }
 }
 
+// Ownership across the int64 boundary. A big value owns its limb block, so
+// a copy must be deep, a move must hand the block over and leave a usable
+// source, and assignment must work onto inline and big targets, onto
+// itself, and with an operand that aliases the target. Every result is
+// checked against the reference_* limb algorithms run on independent
+// copies rebuilt from text.
+TEST(BigIntFuzz, OwnershipSequencesAgreeWithLimbReference) {
+  OperandGen gen(0x0A11A5);
+  const BigInt bigTarget =
+      BigInt::from_string("-340282366920938463463374607431768211457");
+  auto rebuilt = [](const BigInt& v) {
+    return BigInt::from_string(v.to_string());
+  };
+  for (int iter = 0; iter < 3000; ++iter) {
+    const BigInt a = gen.next(), b = gen.next();
+    const BigInt aRef = rebuilt(a), bRef = rebuilt(b);
+
+    BigInt copy(a);
+    copy += b;  // must not write through to a's block
+    EXPECT_EQ(copy, BigInt::reference_add(aRef, bRef));
+    EXPECT_EQ(a, aRef);
+    for (const BigInt& start : {BigInt(7), bigTarget}) {
+      BigInt copied = start;
+      copied = a;
+      EXPECT_EQ(copied, aRef);
+      copied *= b;
+      EXPECT_EQ(copied, BigInt::reference_mul(aRef, bRef));
+      EXPECT_EQ(a, aRef);
+
+      BigInt source = a;
+      BigInt moved = start;
+      moved = std::move(source);
+      EXPECT_EQ(moved, aRef);
+      EXPECT_TRUE(source.is_inline());  // NOLINT(bugprone-use-after-move)
+      source = b;                       // a moved-from value is reusable
+      EXPECT_EQ(source, bRef);
+    }
+    BigInt source = a;
+    const BigInt movedInto(std::move(source));
+    EXPECT_EQ(movedInto, aRef);
+    EXPECT_TRUE(source.is_inline());  // NOLINT(bugprone-use-after-move)
+
+    BigInt self = a;
+    BigInt& alias = self;
+    self = alias;
+    EXPECT_EQ(self, aRef);
+    self = std::move(alias);
+    EXPECT_EQ(self, aRef);
+
+    BigInt x = a;
+    x *= x;
+    EXPECT_EQ(x, BigInt::reference_mul(aRef, aRef));
+    x = a;
+    x += x;
+    EXPECT_EQ(x, BigInt::reference_add(aRef, aRef));
+    x -= x;
+    EXPECT_TRUE(x.is_zero());
+    EXPECT_TRUE(x.is_inline());
+    if (!b.is_zero()) {
+      BigInt q = a, r = b;
+      BigInt::div_mod(q, r, q, r);
+      BigInt rq, rr;
+      BigInt::reference_div_mod(aRef, bRef, rq, rr);
+      EXPECT_EQ(q, rq) << a << " / " << b;
+      EXPECT_EQ(r, rr) << a << " % " << b;
+    }
+  }
+}
+
 TEST(BigIntFuzz, RationalFusedOpsMatchComposedOps) {
   OperandGen gen(0xF05ED);
   auto rational = [&]() {

@@ -5,9 +5,11 @@
 
 #include <cstdint>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "smt/common.h"
+#include "smt/rational.h"
 
 namespace psse::smt {
 namespace {
@@ -186,8 +188,8 @@ TEST(BigIntRepr, Int64EdgesStayInline) {
 
 TEST(BigIntRepr, EqualValuesHashEqualOnBothSidesOfTheInlineBoundary) {
   // Each group holds one value built along different paths: literal,
-  // parsed, and through limb form and back (demotion keeps the stale limb
-  // buffer's capacity, which must not leak into the hash).
+  // parsed, and through limb form and back (demotion frees the limb block,
+  // and nothing of it may leak into the hash).
   const BigInt two64 = BigInt::from_string("18446744073709551616");
   BigInt demotedMax(INT64_MAX);
   demotedMax += BigInt(1);
@@ -350,6 +352,24 @@ TEST(BigIntRepr, HeapBytesAccounting) {
   BigInt big = BigInt::from_string("18446744073709551617");
   EXPECT_GE(big.heap_bytes(), 2 * sizeof(std::uint64_t));
   EXPECT_EQ(big.limb_count(), 2u);
+  big -= BigInt::from_string("18446744073709551610");
+  EXPECT_EQ(big, BigInt(7));
+  EXPECT_EQ(big.heap_bytes(), 0u);  // demotion frees the limb block
+}
+
+TEST(BigIntRepr, TwoWordLayout) {
+  // An inline word plus a pointer to the limb block: every exact value the
+  // simplex stores costs two words, and a Rational four.
+  EXPECT_EQ(sizeof(BigInt), 16u);
+  EXPECT_EQ(sizeof(Rational), 32u);
+  EXPECT_EQ(sizeof(DeltaRational), 64u);
+  // A throwing move would make std::vector copy its elements on growth.
+  EXPECT_TRUE(std::is_nothrow_move_constructible_v<BigInt>);
+  EXPECT_TRUE(std::is_nothrow_move_assignable_v<BigInt>);
+  EXPECT_TRUE(std::is_nothrow_move_constructible_v<Rational>);
+  EXPECT_TRUE(std::is_nothrow_move_assignable_v<Rational>);
+  EXPECT_TRUE(std::is_nothrow_move_constructible_v<DeltaRational>);
+  EXPECT_TRUE(std::is_nothrow_move_assignable_v<DeltaRational>);
 }
 
 // Property: div_mod inverts multiplication for random multi-limb values.

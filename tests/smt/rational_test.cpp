@@ -175,6 +175,32 @@ TEST(Rational, EqualValuesHashEqualHoweverBuilt) {
   EXPECT_NE(Rational(1, 2).hash(), Rational(-1, 2).hash());
 }
 
+TEST(Rational, EqualValuesApproximateEquallyHoweverBuilt) {
+  // The float filter's error term must depend on the value alone. A value
+  // demoted from limb form, a copy of it, and a product whose limb buffer
+  // was sized for a longer result must get the same approx() as the same
+  // value parsed from text. (Compared in place: a copy would not show how
+  // the original's buffers were built.)
+  auto expectSameApprox = [](const Rational& a, const Rational& b) {
+    EXPECT_EQ(a, b) << a << " vs " << b;
+    EXPECT_EQ(a.approx().value, b.approx().value) << a;
+    EXPECT_EQ(a.approx().error, b.approx().error) << a;
+  };
+  BigInt demoted(INT64_MAX);
+  demoted += BigInt(1);
+  demoted -= BigInt(1);
+  const Rational r(std::move(demoted));
+  const Rational c = r;
+  expectSameApprox(r, c);
+  expectSameApprox(r, Rational::from_string("9223372036854775807"));
+
+  const BigInt two70 = BigInt::from_string("1180591620717411303424");
+  BigInt product = two70 * BigInt(3);  // buffer sized for 3 limbs, holds 2
+  const Rational p(std::move(product));
+  expectSameApprox(p, Rational::from_string("3541774862152233910272"));
+  expectSameApprox(p, Rational(p));
+}
+
 TEST(DeltaRational, FusedAddMulSubMul) {
   DeltaRational acc(Rational(1), Rational(2));
   DeltaRational x(Rational(3, 2), Rational(-1));
